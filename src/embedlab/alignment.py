@@ -5,7 +5,8 @@ cosine kind scores g(F x0; p_y) with a fixed linear feature map F and one
 prototype vector per prompt; the quadratic kind is +/- ||x0 - target_y||^2;
 composites are weighted sums.  Every kind exposes:
 
-* ``value(x0, y)``      - scalar, batched over leading axes of x0,
+* ``value(x0, y)``      - scalar, batched over leading axes of x0, each
+                          row exactly as it is alone,
 * ``grad_x(x0, y)``     - closed-form gradient in data space,
 * ``emit(g, node, y)``  - tape emission so gradients can flow through the
                           score model and the Tweedie map.
@@ -42,12 +43,15 @@ class CosineAlignment:
             raise AlignmentError("prototypes must be nonzero")
 
     def value(self, x0, y):
-        feats = np.asarray(x0, dtype=np.float64) @ self.feature_map.T
+        # stacked 1-row products and vecdot: each row of a batch gets the
+        # bits it gets alone
+        x0 = np.asarray(x0, dtype=np.float64)
+        feats = np.matmul(x0[..., None, :], self.feature_map.T)[..., 0, :]
         p = self.prototypes[int(y)]
         nf = np.linalg.norm(feats, axis=-1)
         if np.any(nf == 0.0):
             raise AlignmentError("zero feature vector in cosine alignment")
-        return feats @ p / (nf * np.linalg.norm(p))
+        return np.vecdot(feats, p) / (nf * np.linalg.norm(p))
 
     def grad_x(self, x0, y):
         u = self.feature_map @ np.asarray(x0, dtype=np.float64)

@@ -1,16 +1,33 @@
 """Minimal reverse-mode differentiation on an append-only tape.
 
 A :class:`Graph` is built once from a fixed set of primitives, then evaluated
-against named input vectors.  Forward values are cached on the tape, and a
-single reverse sweep yields exact gradients of a scalar output with respect
-to any named input (and, for affine nodes backed by :class:`Param`, with
-respect to trainable weights).
+against named inputs.  Forward values are cached on the tape, and a single
+reverse sweep yields exact gradients of a scalar output with respect to any
+named input (and, for affine nodes backed by :class:`Param`, with respect to
+trainable weights).
 
 The primitive set is deliberately small: affine map, elementwise tanh and
 SiLU, softmax, log-sum-exp, dot product, L2 norm, cosine similarity,
 quadratic form, and diagonal Gaussian log-density, plus the arithmetic and
 packing operations needed to compose them.  Everything the lab
 differentiates is expressed in these terms.
+
+Every node has a row rank fixed when it is built: 1 for a vector, 0 for a
+scalar.  Placeholders declare theirs.  A binding may carry leading batch
+axes in front of its row, and then every node carries the same axes and
+treats each row on its own:
+
+* ``affine`` and the reductions (``dot``, ``norm``, ``cosine``, ``softmax``,
+  ``logsumexp``, ``quadform``, ``gauss_logpdf``, ``vsum``) act on the last
+  axis;
+* ``pick``, ``pack`` and ``concat`` index, stack and join on the last axis;
+* a gradient needs an output that is scalar per row, and seeds every row
+  with 1.
+
+Constants carry no batch axes and broadcast.  Each batched form rounds
+exactly as the same primitive on one row does (stacked ``matmul`` rather
+than one gemm, ``vecdot`` rather than a sum of products), so a batch gives
+the same bits as its rows evaluated one at a time.
 """
 
 from __future__ import annotations
@@ -36,12 +53,17 @@ class Param:
 
 
 class _Node:
-    __slots__ = ("op", "args", "payload")
+    # live: the node depends on a placeholder, so adjoints flow into it;
+    # live_args: which of its arguments are live
+    __slots__ = ("op", "args", "payload", "rank", "live", "live_args")
 
-    def __init__(self, op, args, payload=None):
+    def __init__(self, op, args, payload, rank, live, live_args=()):
         self.op = op
         self.args = args
         self.payload = payload
+        self.rank = rank
+        self.live = live
+        self.live_args = live_args
 
 
 def _as_array(v):
@@ -55,6 +77,40 @@ def _sigmoid(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def _col(s):
+    """A per-row scalar as a column that broadcasts against rows."""
+    return s[..., None]
+
+
+def _norm(a):
+    # the bits of np.linalg.norm on one row, which is sqrt(dot(a, a))
+    return np.sqrt(np.vecdot(a, a))
+
+
+# op -> (row rank every argument must have, row rank of the result); None
+# means any rank for the arguments, and the last argument's rank for the
+# result.  add, sub and mul need equal ranks; smul a scalar first argument.
+_RANKS = {
+    "add": (None, None), "sub": (None, None), "mul": (None, None),
+    "neg": (None, None), "scale": (None, None), "tanh": (None, None),
+    "silu": (None, None), "smul": (None, None),
+    "affine": (1, 1), "softmax": (1, 1), "logsumexp": (1, 0), "dot": (1, 0),
+    "norm": (1, 0), "cosine": (1, 0), "quadform": (1, 0), "gauss_logpdf": (1, 0),
+    "vsum": (1, 0), "pick": (1, 0), "pack": (0, 1), "concat": (None, 1),
+}
+
+
+def _result_rank(op, ranks):
+    need, out = _RANKS[op]
+    if need is not None and ranks.count(need) != len(ranks):
+        raise GraphError(f"{op}: operands must be {('scalar', 'vector')[need]} nodes")
+    if op in ("add", "sub", "mul") and ranks[0] != ranks[1]:
+        raise GraphError(f"{op}: operands have row ranks {ranks[0]} and {ranks[1]}")
+    if op == "smul" and ranks[0] != 0:
+        raise GraphError("smul: the first operand must be a scalar node")
+    return ranks[-1] if out is None else out
 
 
 class Graph:
@@ -73,21 +129,33 @@ class Graph:
     # -- construction -----------------------------------------------------
 
     def _append(self, op, args, payload=None):
-        for a in args:
-            if not (0 <= a < len(self.nodes)):
-                raise GraphError(f"{op}: argument node {a} does not exist")
-        self.nodes.append(_Node(op, tuple(args), payload))
-        return len(self.nodes) - 1
+        nodes = self.nodes
+        args = tuple(args)
+        if args and not (0 <= min(args) and max(args) < len(nodes)):
+            bad = next(a for a in args if not 0 <= a < len(nodes))
+            raise GraphError(f"{op}: argument node {bad} does not exist")
+        arg_nodes = [nodes[a] for a in args]
+        live = tuple([n.live for n in arg_nodes])
+        rank = _result_rank(op, [n.rank for n in arg_nodes])
+        nodes.append(_Node(op, args, payload, rank, True in live, live))
+        return len(nodes) - 1
 
-    def placeholder(self, name):
+    def placeholder(self, name, rank=1):
+        """A named input whose rows are vectors (rank 1) or scalars (rank 0)."""
         if name in self.input_ids:
             raise GraphError(f"duplicate placeholder {name!r}")
-        nid = self._append("input", (), {"name": name})
-        self.input_ids[name] = nid
-        return nid
+        if rank not in (0, 1):
+            raise GraphError(f"placeholder {name!r}: row rank must be 0 or 1")
+        self.nodes.append(_Node("input", (), {"name": name}, rank, True))
+        self.input_ids[name] = len(self.nodes) - 1
+        return self.input_ids[name]
 
     def constant(self, value):
-        return self._append("const", (), {"value": _as_array(value)})
+        value = _as_array(value)
+        if value.ndim > 1:
+            raise GraphError("constants are scalars or vectors")
+        self.nodes.append(_Node("const", (), {"value": value}, value.ndim, False))
+        return len(self.nodes) - 1
 
     def add(self, a, b):
         return self._append("add", (a, b))
@@ -141,7 +209,9 @@ class Graph:
 
     def gauss_logpdf(self, x, mu, var):
         """Log-density of N(mu, diag(var)) at x; var is a fixed vector."""
-        return self._append("gauss_logpdf", (x, mu), {"var": _as_array(var)})
+        var = _as_array(var)
+        return self._append("gauss_logpdf", (x, mu),
+                            {"var": var, "log_norm": np.log(2.0 * np.pi * var)})
 
     def pack(self, scalars):
         """Stack scalar nodes into a vector node."""
@@ -152,7 +222,10 @@ class Graph:
         return self._append("pick", (v,), {"i": int(index)})
 
     def concat(self, parts):
-        return self._append("concat", tuple(parts))
+        """Join scalar and vector nodes into one vector node."""
+        nid = self._append("concat", tuple(parts), {})
+        self.nodes[nid].payload["ranks"] = tuple(self.nodes[a].rank for a in parts)
+        return nid
 
     def vsum(self, a):
         """Sum of the components of a vector node."""
@@ -169,12 +242,91 @@ def _pval(p):
     return p.value if isinstance(p, Param) else p
 
 
-def evaluate(graph, bindings):
-    """Run the forward pass with named inputs bound to vectors.
+def _affine(W, x):
+    # one matrix-vector product per row; a single gemm would round differently
+    return np.matmul(W, x[..., None])[..., 0]
 
-    Caches every node value on the graph and returns the output value.
-    Non-finite intermediate values are rejected with the offending node
-    named, which localises numerical blow-ups to a primitive.
+
+def _f_affine(node, x):
+    pl = node.payload
+    v = _affine(_pval(pl["W"]), x)
+    return v if pl["b"] is None else v + _pval(pl["b"])
+
+
+# np.add.reduce and np.maximum.reduce are what np.sum and np.max call,
+# without their Python-level wrappers
+
+def _f_softmax(node, x):
+    e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
+
+
+def _f_logsumexp(node, x):
+    m = np.maximum.reduce(x, axis=-1)
+    return m + np.log(np.add.reduce(np.exp(x - _col(m)), axis=-1))
+
+
+def _f_gauss_logpdf(node, x, mu):
+    d = x - mu
+    pl = node.payload
+    return -0.5 * np.add.reduce(d * d / pl["var"] + pl["log_norm"], axis=-1)
+
+
+def _f_pack(node, *vs):
+    if len({v.shape for v in vs}) > 1:
+        vs = np.broadcast_arrays(*vs)
+    return np.stack(vs, axis=-1)
+
+
+def _f_concat(node, *vs):
+    ranks = node.payload["ranks"]
+    lead = np.broadcast_shapes(*(v.shape[:v.ndim - r] for v, r in zip(vs, ranks)))
+    return np.concatenate([np.broadcast_to(v if r else _col(v), lead + (v.shape[-1] if r else 1,))
+                           for v, r in zip(vs, ranks)], axis=-1)
+
+
+_FORWARD = {
+    "const": lambda node: node.payload["value"],
+    "add": lambda node, a, b: a + b,
+    "sub": lambda node, a, b: a - b,
+    "neg": lambda node, a: -a,
+    "scale": lambda node, a: node.payload["k"] * a,
+    "mul": lambda node, a, b: a * b,
+    "smul": lambda node, s, v: (_col(s) if node.rank else s) * v,
+    "affine": _f_affine,
+    "tanh": lambda node, a: np.tanh(a),
+    "silu": lambda node, a: a * _sigmoid(a),
+    "softmax": _f_softmax,
+    "logsumexp": _f_logsumexp,
+    "dot": lambda node, a, b: np.vecdot(a, b),
+    "norm": lambda node, a: _norm(a),
+    "cosine": lambda node, a, b: np.vecdot(a, b) / (_norm(a) * _norm(b)),
+    "quadform": lambda node, x: np.vecdot(np.matmul(x[..., None, :], node.payload["A"])[..., 0, :], x),
+    "gauss_logpdf": _f_gauss_logpdf,
+    "pack": _f_pack,
+    "pick": lambda node, v: v[..., node.payload["i"]],
+    "concat": _f_concat,
+    "vsum": lambda node, a: np.add.reduce(a, axis=-1),
+}
+
+
+def _check_finite(graph, vals):
+    """One finiteness test over every node value; on failure, name the
+    first offending node, which localises a blow-up to a primitive."""
+    if np.isfinite(np.concatenate([v.ravel() for v in vals])).all():
+        return
+    for i, v in enumerate(vals):
+        if not np.all(np.isfinite(v)):
+            raise GraphError(f"non-finite value at node {i} ({graph.nodes[i].op})")
+
+
+def evaluate(graph, bindings):
+    """Run the forward pass with named inputs bound to arrays.
+
+    Every input must carry the same leading batch axes in front of its
+    declared row rank.  Caches every node value on the graph and returns
+    the output value.  Non-finite values are rejected with the first
+    offending node named.
     """
     if graph.output is None:
         raise GraphError("graph has no marked output")
@@ -183,185 +335,138 @@ def evaluate(graph, bindings):
         raise GraphError(f"unbound inputs: {sorted(missing)}")
 
     vals = [None] * len(graph.nodes)
+    batch = None
     for i, node in enumerate(graph.nodes):
-        op, args, pl = node.op, node.args, node.payload
-        if op == "input":
-            v = _as_array(bindings[pl["name"]])
-        elif op == "const":
-            v = pl["value"]
-        elif op == "add":
-            v = vals[args[0]] + vals[args[1]]
-        elif op == "sub":
-            v = vals[args[0]] - vals[args[1]]
-        elif op == "neg":
-            v = -vals[args[0]]
-        elif op == "scale":
-            v = pl["k"] * vals[args[0]]
-        elif op == "mul":
-            v = vals[args[0]] * vals[args[1]]
-        elif op == "smul":
-            v = vals[args[0]] * vals[args[1]]
-        elif op == "affine":
-            W = _pval(pl["W"])
-            v = W @ vals[args[0]]
-            if pl["b"] is not None:
-                v = v + _pval(pl["b"])
-        elif op == "tanh":
-            v = np.tanh(vals[args[0]])
-        elif op == "silu":
-            x = vals[args[0]]
-            v = x * _sigmoid(x)
-        elif op == "softmax":
-            x = vals[args[0]]
-            e = np.exp(x - np.max(x))
-            v = e / np.sum(e)
-        elif op == "logsumexp":
-            x = vals[args[0]]
-            m = np.max(x)
-            v = m + np.log(np.sum(np.exp(x - m)))
-        elif op == "dot":
-            v = np.dot(vals[args[0]], vals[args[1]])
-        elif op == "norm":
-            v = np.linalg.norm(vals[args[0]])
-        elif op == "cosine":
-            a, b = vals[args[0]], vals[args[1]]
-            v = np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
-        elif op == "quadform":
-            x = vals[args[0]]
-            v = x @ pl["A"] @ x
-        elif op == "gauss_logpdf":
-            x, mu = vals[args[0]], vals[args[1]]
-            d = x - mu
-            var = pl["var"]
-            v = -0.5 * np.sum(d * d / var + np.log(2.0 * np.pi * var))
-        elif op == "pack":
-            v = np.array([vals[a] for a in args], dtype=np.float64)
-        elif op == "pick":
-            v = vals[args[0]][pl["i"]]
-        elif op == "concat":
-            v = np.concatenate([np.atleast_1d(vals[a]) for a in args])
-        elif op == "vsum":
-            v = np.sum(vals[args[0]])
+        if node.op == "input":
+            name = node.payload["name"]
+            v = _as_array(bindings[name])
+            if v.ndim < node.rank:
+                raise GraphError(f"input {name!r}: a row has rank {node.rank}, got shape {v.shape}")
+            lead = v.shape[:v.ndim - node.rank]
+            if batch is None:
+                batch = lead
+            elif lead != batch:
+                raise GraphError(f"input {name!r}: batch axes {lead} differ from {batch}")
         else:
-            raise GraphError(f"unknown op {op!r}")
-        v = np.asarray(v, dtype=np.float64)
-        if not np.all(np.isfinite(v)):
-            raise GraphError(f"non-finite value at node {i} ({op})")
+            v = np.asarray(_FORWARD[node.op](node, *[vals[a] for a in node.args]))
         vals[i] = v
-
+    _check_finite(graph, vals)
     graph.values = vals
     return vals[graph.output]
 
 
+# -- reverse sweep: adjoints of each argument given the node's adjoint g ----
+
+def _b_smul(node, g, y, s, v):
+    if node.rank:
+        return np.add.reduce(g * v, axis=-1), _col(s) * g
+    return g * v, s * g
+
+
+def _b_affine(node, g, y, x):
+    return (_affine(_pval(node.payload["W"]).T, g),)
+
+
+def _b_silu(node, g, y, x):
+    s = _sigmoid(x)
+    return (g * s * (1.0 + x * (1.0 - s)),)
+
+
+def _b_cosine(node, g, y, a, b):
+    na, nb = _norm(a), _norm(b)
+    g, y, nab = _col(g), _col(y), _col(na * nb)
+    live_a, live_b = node.live_args
+    return (g * (b / nab - y * a / _col(na * na)) if live_a else None,
+            g * (a / nab - y * b / _col(nb * nb)) if live_b else None)
+
+
+def _b_gauss_logpdf(node, g, y, x, mu):
+    d = (x - mu) / node.payload["var"]
+    return -_col(g) * d, _col(g) * d
+
+
+def _b_pick(node, g, y, v):
+    full = np.zeros_like(v)
+    full[..., node.payload["i"]] = g
+    return (full,)
+
+
+def _b_concat(node, g, y, *vs):
+    out, off = [], 0
+    for v, r in zip(vs, node.payload["ranks"]):
+        n = v.shape[-1] if r else 1
+        piece = g[..., off:off + n]
+        out.append(piece if r else piece[..., 0])
+        off += n
+    return out
+
+
+_BACKWARD = {
+    "add": lambda node, g, y, a, b: (g, g),
+    "sub": lambda node, g, y, a, b: (g, -g),
+    "neg": lambda node, g, y, a: (-g,),
+    "scale": lambda node, g, y, a: (node.payload["k"] * g,),
+    "mul": lambda node, g, y, a, b: (g * b, g * a),
+    "smul": _b_smul,
+    "affine": _b_affine,
+    "tanh": lambda node, g, y, a: (g * (1.0 - y * y),),
+    "silu": _b_silu,
+    "softmax": lambda node, g, y, a: (y * (g - _col(np.vecdot(g, y))),),
+    "logsumexp": lambda node, g, y, x: (_col(g) * np.exp(x - _col(y)),),
+    "dot": lambda node, g, y, a, b: (_col(g) * b, _col(g) * a),
+    "norm": lambda node, g, y, x: (_col(g) * x / _col(y),),
+    "cosine": _b_cosine,
+    "quadform": lambda node, g, y, x: (
+        _col(g) * _affine(node.payload["A"] + node.payload["A"].T, x),),
+    "gauss_logpdf": _b_gauss_logpdf,
+    "pack": lambda node, g, y, *vs: [g[..., k] for k in range(len(vs))],
+    "pick": _b_pick,
+    "concat": _b_concat,
+    "vsum": lambda node, g, y, a: (_col(g) * np.ones_like(a),),
+}
+
+
+def _accumulate_params(node, g, x):
+    """Add an affine node's weight and bias gradients, summed over rows."""
+    W, b = node.payload["W"], node.payload["b"]
+    g2 = g.reshape(-1, g.shape[-1])
+    if isinstance(W, Param):
+        W.grad += g2.T @ x.reshape(-1, x.shape[-1])
+    if isinstance(b, Param):
+        b.grad += g2.sum(axis=0)
+
+
 def _backward(graph, accumulate_params=False):
-    """Reverse sweep from a scalar output; returns per-node adjoints."""
+    """Reverse sweep from an output that is scalar per row; returns per-node
+    adjoints."""
     if graph.values is None:
         raise GraphError("run evaluate() before taking gradients")
-    vals = graph.values
-    out_val = vals[graph.output]
-    if out_val.ndim != 0:
+    nodes, vals = graph.nodes, graph.values
+    if nodes[graph.output].rank != 0:
         raise GraphError("gradient requires a scalar output")
 
-    adj = [None] * len(graph.nodes)
-    adj[graph.output] = np.array(1.0)
-
-    def acc(i, g):
-        if adj[i] is None:
-            adj[i] = np.array(g, dtype=np.float64)
-        else:
-            adj[i] = adj[i] + g
-
-    for i in range(len(graph.nodes) - 1, -1, -1):
+    adj = [None] * len(nodes)
+    adj[graph.output] = np.ones_like(vals[graph.output])
+    for i in range(len(nodes) - 1, -1, -1):
         g = adj[i]
-        if g is None:
+        node = nodes[i]
+        if g is None or not node.live or node.op == "input":
             continue
-        node = graph.nodes[i]
-        op, args, pl = node.op, node.args, node.payload
-        if op in ("input", "const"):
-            continue
-        if op == "add":
-            acc(args[0], g)
-            acc(args[1], g)
-        elif op == "sub":
-            acc(args[0], g)
-            acc(args[1], -g)
-        elif op == "neg":
-            acc(args[0], -g)
-        elif op == "scale":
-            acc(args[0], pl["k"] * g)
-        elif op == "mul":
-            acc(args[0], g * vals[args[1]])
-            acc(args[1], g * vals[args[0]])
-        elif op == "smul":
-            acc(args[0], np.sum(g * vals[args[1]]))
-            acc(args[1], vals[args[0]] * g)
-        elif op == "affine":
-            W = pl["W"]
-            acc(args[0], _pval(W).T @ g)
-            if accumulate_params:
-                if isinstance(W, Param):
-                    W.grad += np.outer(g, vals[args[0]])
-                b = pl["b"]
-                if isinstance(b, Param):
-                    b.grad += g
-        elif op == "tanh":
-            y = vals[i]
-            acc(args[0], g * (1.0 - y * y))
-        elif op == "silu":
-            x = vals[args[0]]
-            s = _sigmoid(x)
-            acc(args[0], g * s * (1.0 + x * (1.0 - s)))
-        elif op == "softmax":
-            y = vals[i]
-            acc(args[0], y * (g - np.dot(g, y)))
-        elif op == "logsumexp":
-            x = vals[args[0]]
-            acc(args[0], g * np.exp(x - vals[i]))
-        elif op == "dot":
-            acc(args[0], g * vals[args[1]])
-            acc(args[1], g * vals[args[0]])
-        elif op == "norm":
-            y = vals[i]
-            if y == 0.0:
-                raise GraphError(f"norm gradient undefined at zero (node {i})")
-            acc(args[0], g * vals[args[0]] / y)
-        elif op == "cosine":
-            a, b = vals[args[0]], vals[args[1]]
-            na, nb = np.linalg.norm(a), np.linalg.norm(b)
-            y = vals[i]
-            acc(args[0], g * (b / (na * nb) - y * a / (na * na)))
-            acc(args[1], g * (a / (na * nb) - y * b / (nb * nb)))
-        elif op == "quadform":
-            A = pl["A"]
-            acc(args[0], g * ((A + A.T) @ vals[args[0]]))
-        elif op == "gauss_logpdf":
-            x, mu = vals[args[0]], vals[args[1]]
-            d = (x - mu) / pl["var"]
-            acc(args[0], -g * d)
-            acc(args[1], g * d)
-        elif op == "pack":
-            for k, a in enumerate(args):
-                acc(a, g[k])
-        elif op == "pick":
-            full = np.zeros_like(vals[args[0]])
-            full[pl["i"]] = g
-            acc(args[0], full)
-        elif op == "concat":
-            off = 0
-            for a in args:
-                n = np.atleast_1d(vals[a]).size
-                piece = g[off:off + n]
-                acc(a, piece if vals[a].ndim else piece[0])
-                off += n
-        elif op == "vsum":
-            acc(args[0], g * np.ones_like(vals[args[0]]))
-        else:
-            raise GraphError(f"unknown op {op!r}")
+        if node.op == "norm" and np.any(vals[i] == 0.0):
+            raise GraphError(f"norm gradient undefined at zero (node {i})")
+        args = node.args
+        grads = _BACKWARD[node.op](node, g, vals[i], *[vals[a] for a in args])
+        for a, ga, live in zip(args, grads, node.live_args):
+            if live:
+                adj[a] = ga if adj[a] is None else adj[a] + ga
+        if accumulate_params and node.op == "affine":
+            _accumulate_params(node, g, vals[args[0]])
     return adj
 
 
 def gradient(graph, wrt):
-    """Exact reverse-mode gradient of the scalar output w.r.t. input `wrt`."""
+    """Exact reverse-mode gradient of the output w.r.t. input `wrt`, one
+    gradient row per batch row."""
     if wrt not in graph.input_ids:
         raise GraphError(f"no input named {wrt!r}")
     adj = _backward(graph)
@@ -373,7 +478,8 @@ def gradient(graph, wrt):
 
 
 def param_gradients(graph):
-    """Reverse sweep that accumulates into every Param used by the graph."""
+    """Reverse sweep that accumulates into every Param used by the graph,
+    summed over batch rows."""
     _backward(graph, accumulate_params=True)
 
 

@@ -109,7 +109,8 @@ class GraphCache:
     """Reuse per-timestep graphs within a sampling run.
 
     Graphs carry their last forward values, so a cache must not be shared
-    across threads; each trajectory loop owns one.
+    across threads; each run_experiment call owns one, which serves the
+    whole batch of trajectories.
     """
 
     def __init__(self):

@@ -76,7 +76,8 @@ def cg_score(s_uncond, grad_log_classifier, w):
 
 
 def classifier_grad(conditionals, priors, y, x_t, t, sched):
-    """grad_x log p(y | x_t) by a reverse sweep through the Bayes classifier.
+    """grad_x log p(y | x_t) by a reverse sweep through the Bayes classifier,
+    one gradient row per row of x_t.
 
     Deliberately independent of the closed-form score algebra, so that the
     w = 1 identity against the exact conditional score is a real check.
@@ -87,7 +88,7 @@ def classifier_grad(conditionals, priors, y, x_t, t, sched):
 
 
 def ug_score(s_uncond, x_t, c, t, model, sched, h, y, w, cache=None):
-    """s_uncond + w * grad_x h(tweedie_mean(x_t, c, t); y)."""
+    """s_uncond + w * grad_x h(tweedie_mean(x_t, c, t); y), per row."""
     cache = cache or GraphCache()
     graph = cache.h_t(model, h, y, t, sched)
     evaluate(graph, {"x": np.asarray(x_t, dtype=np.float64),
@@ -108,12 +109,16 @@ def ablation_update(kind, x_t, c_org, t, rho, model, sched, h, y, rng, cache=Non
                     sample does not depend on the embedding, so the gradient
                     vanishes and the update degenerates to a no-op; the
                     gradient is still computed rather than assumed.
+
+    x_t and c_org may be batches of rows; then `rng` is a sequence of
+    generators, one per row, so each row draws from its own stream.
     """
     c_org = np.asarray(c_org, dtype=np.float64)
     cache = cache or GraphCache()
     if kind == "random":
-        u = rng.standard_normal(c_org.shape)
-        u /= np.linalg.norm(u)
+        rngs = [rng] if c_org.ndim == 1 else rng
+        u = np.stack([r.standard_normal(c_org.shape[-1]) for r in rngs]).reshape(c_org.shape)
+        u /= np.sqrt(np.vecdot(u, u))[..., None]   # the bits of np.linalg.norm per row
         return c_org + rho * u
     if kind == "unnormalized":
         grad = grad_h_t_wrt_c(x_t, c_org, t, model, sched, h, y, cache=cache)

@@ -7,7 +7,9 @@ theory-check suite to JSON).  All numeric output is printed and written
 with 9 significant digits; report files contain nothing nondeterministic,
 so identical (config, seed) runs produce byte-identical files.  The one
 exception is records.jsonl, whose per-trajectory wall-clock fields are
-measurements by nature.
+measurements by nature.  A run samples all its trajectories as one batch,
+so every record of a run carries the same wall_clock: the batch's update
+and denoise seconds divided by the number of trajectories.
 """
 
 from __future__ import annotations

@@ -93,7 +93,7 @@ def compute_metrics(records, cfg_dict, h, y, true_model, c_true):
     if len(records) == 0:
         raise MetricsError("no trajectory records")
     finals = np.stack([r.final_x0 for r in records])
-    hs = np.asarray([float(h.value(r.final_x0, y)) for r in records])
+    hs = np.asarray(h.value(finals, y), dtype=np.float64)
     n = len(records)
     se = float(np.std(hs, ddof=1) / np.sqrt(n)) if n > 1 else None
 

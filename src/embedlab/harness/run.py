@@ -7,6 +7,11 @@ Pre-drawing makes paired comparisons exact: two configurations run at the
 same seed consume identical noise, so outcome differences are attributable
 to the method alone.
 
+All trajectories of a run advance together as one (n, d) state through a
+single step loop.  Every batched computation treats each row exactly as it
+would treat that row alone, so trajectory i is bit-for-bit the same in a
+run of any size above i.
+
 Per step the order is: update the embedding (when scheduled), form the
 step score (plain, guided, or composed), record the predicted clean mean,
 then take the reverse step.
@@ -30,7 +35,11 @@ from .metrics import compute_metrics
 
 
 class TrajectoryAborted(RuntimeError):
-    """A sampling trajectory produced a non-finite state."""
+    """A sampling trajectory produced a non-finite state.
+
+    Names the earliest step at which any trajectory's state is non-finite,
+    and the lowest-numbered trajectory among those at that step.
+    """
 
     def __init__(self, trajectory, t):
         super().__init__(f"non-finite state in trajectory {trajectory} at step t={t}")
@@ -95,13 +104,18 @@ def build_objects(cfg):
 
 
 def run_experiment(cfg):
-    """Run cfg.n_samples independent trajectories; returns (records, report)."""
+    """Run cfg.n_samples independent trajectories; returns (records, report).
+
+    The trajectories are sampled as one batch.  Each record's wall_clock
+    holds the batch's update and denoise seconds divided by n_samples.
+    """
     task, sched, model, h, date_cfg = build_objects(cfg)
     y = cfg.prompt
     if y >= task.n_prompts:
         raise ConfigError(f"prompt: id {y} outside 0..{task.n_prompts - 1}")
     c_enc = task.embedding(y)
     T = sched.T
+    n = cfg.n_samples
     d = model.data_dim
     conditionals = task.conditionals()
     priors = task.priors
@@ -113,67 +127,75 @@ def run_experiment(cfg):
     if guidance.kind == "ablation":
         abl_rho = guidance.rho if guidance.rho is not None else date_cfg.rho
 
-    records = []
-    for i in range(cfg.n_samples):
-        ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(i,))
-        noise_stream, method_stream = ss.spawn(2)
-        noise = np.random.default_rng(noise_stream).standard_normal((T + 1, d))
-        method_rng = np.random.default_rng(method_stream)
+    streams = [np.random.SeedSequence(entropy=cfg.seed, spawn_key=(i,)).spawn(2)
+               for i in range(n)]
+    # noise[k, i] is trajectory i's k-th draw: the prior, then one per step
+    noise = np.stack([np.random.default_rng(ns).standard_normal((T + 1, d))
+                      for ns, _ in streams], axis=1)
+    method_rngs = [np.random.default_rng(ms) for _, ms in streams]
 
-        x = noise[0].copy()
-        c = c_enc.copy()
-        c_prev = None
-        steps = []
-        t_update = 0.0
-        t_denoise = 0.0
+    x = noise[0].copy()
+    c_rows = np.tile(c_enc, (n, 1))
+    c = c_rows
+    c_prev = None
+    xs, cs, x0_bars, hs = [], [], [], []
+    t_update = 0.0
+    t_denoise = 0.0
 
-        for t in range(T, 0, -1):
-            if t in update_steps:
-                tic = time.perf_counter()
-                origin = select_origin(date_cfg.origin, c_prev, c_enc)
-                if guidance.kind == "ablation":
-                    c = ablation_update(guidance.ablation_kind, x, origin, t,
-                                        abl_rho, model, sched, h, y,
-                                        method_rng, cache=cache)
-                else:
-                    c = multi_iter_update(x, origin, t, date_cfg, model, sched,
-                                          h, y, c_encoder=c_enc, cache=cache)
-                c_prev = c
-                t_update += time.perf_counter() - tic
-
+    for t in range(T, 0, -1):
+        if t in update_steps:
             tic = time.perf_counter()
-            if guidance.kind in ("cfg", "cg", "ug"):
-                s_uncond = unconditional_score(conditionals, priors, x, t, sched)
-                if guidance.kind == "cfg":
-                    s = cfg_score(model.score(x, c, t, sched), s_uncond, guidance.w)
-                elif guidance.kind == "cg":
-                    grad = classifier_grad(conditionals, priors, y, x, t, sched)
-                    s = cg_score(s_uncond, grad, guidance.w)
-                else:
-                    s = ug_score(s_uncond, x, c, t, model, sched, h, y,
-                                 guidance.w, cache=cache)
+            origin = select_origin(date_cfg.origin, c_prev, c_rows)
+            if guidance.kind == "ablation":
+                c = ablation_update(guidance.ablation_kind, x, origin, t,
+                                    abl_rho, model, sched, h, y,
+                                    method_rngs, cache=cache)
             else:
-                s = model.score(x, c, t, sched)
+                c = multi_iter_update(x, origin, t, date_cfg, model, sched,
+                                      h, y, c_encoder=c_enc, cache=cache)
+            c_prev = c
+            t_update += time.perf_counter() - tic
 
-            ab = sched.alpha_bar(t)
-            x0_bar = (x + (1.0 - ab) * s) / np.sqrt(ab)
-            steps.append(StepRecord(t=t, x_t=x.copy(), c_t=c.copy(),
-                                    x0_bar=x0_bar, h_value=float(h.value(x0_bar, y))))
+        tic = time.perf_counter()
+        if guidance.kind in ("cfg", "cg", "ug"):
+            s_uncond = unconditional_score(conditionals, priors, x, t, sched)
+            if guidance.kind == "cfg":
+                s = cfg_score(model.score(x, c, t, sched), s_uncond, guidance.w)
+            elif guidance.kind == "cg":
+                grad = classifier_grad(conditionals, priors, y, x, t, sched)
+                s = cg_score(s_uncond, grad, guidance.w)
+            else:
+                s = ug_score(s_uncond, x, c, t, model, sched, h, y,
+                             guidance.w, cache=cache)
+        else:
+            s = model.score(x, c, t, sched)
 
-            if cfg.sampler == "ddpm":
-                z = noise[t] if t > 1 else np.zeros(d)
-                x = step_ddpm(x, s, t, z, sched)
-            elif cfg.sampler == "alg1":
-                x = step_alg1(x, s, t, sched)
-            else:  # ddim, eta = 0
-                x = step_ddim(x, x0_bar, t, t - 1, sched)
-            if not np.all(np.isfinite(x)):
-                raise TrajectoryAborted(i, t)
-            t_denoise += time.perf_counter() - tic
+        ab = sched.alpha_bar(t)
+        x0_bar = (x + (1.0 - ab) * s) / np.sqrt(ab)
+        xs.append(x)
+        cs.append(c)
+        x0_bars.append(x0_bar)
+        hs.append(h.value(x0_bar, y))
 
-        records.append(TrajectoryRecord(
-            steps=tuple(steps), final_x0=x,
-            wall_clock={"update": t_update, "denoise": t_denoise}))
+        if cfg.sampler == "ddpm":
+            z = noise[t] if t > 1 else np.zeros((n, d))
+            x = step_ddpm(x, s, t, z, sched)
+        elif cfg.sampler == "alg1":
+            x = step_alg1(x, s, t, sched)
+        else:  # ddim, eta = 0
+            x = step_ddim(x, x0_bar, t, t - 1, sched)
+        bad = ~np.all(np.isfinite(x), axis=-1)
+        if bad.any():
+            raise TrajectoryAborted(int(np.argmax(bad)), t)
+        t_denoise += time.perf_counter() - tic
+
+    wall_clock = {"update": t_update / n, "denoise": t_denoise / n}
+    hs = np.stack(hs, axis=1).tolist()
+    records = [TrajectoryRecord(
+        steps=tuple(StepRecord(t=T - k, x_t=xs[k][i], c_t=cs[k][i],
+                               x0_bar=x0_bars[k][i], h_value=hs[i][k])
+                    for k in range(T)),
+        final_x0=x[i], wall_clock=dict(wall_clock)) for i in range(n)]
 
     report = compute_metrics(records, config_to_dict(cfg), h, y,
                              task.model, c_enc)

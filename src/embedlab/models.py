@@ -240,14 +240,20 @@ class ScoreNet:
         ang = 2.0 * np.pi * freqs * tau
         return np.concatenate([np.sin(ang), np.cos(ang)])
 
-    def _forward_cached(self, inp):
+    def _forward_cached(self, inp, rowwise=False):
+        """Forward pass keeping every layer's input and pre-activation.
+
+        rowwise=True multiplies each row on its own (a stack of 1-row
+        products), which gives a row the same bits alone or in any batch;
+        the default is one gemm over the batch, as training uses.
+        """
         acts = [inp]
         pre = []
         h = inp
         n_layers = len(self.params) // 2
         for i in range(n_layers):
             W, b = self.params[2 * i].value, self.params[2 * i + 1].value
-            z = h @ W.T + b
+            z = (np.matmul(h[..., None, :], W.T)[..., 0, :] if rowwise else h @ W.T) + b
             pre.append(z)
             if i < n_layers - 1:
                 sig = 1.0 / (1.0 + np.exp(-z))
@@ -258,16 +264,17 @@ class ScoreNet:
         return h, acts, pre
 
     def score(self, x, c, t, sched):
-        """Network forward pass; batched over leading axes of x."""
+        """Network forward pass; batched over leading axes of x (and c),
+        each row exactly as it is alone."""
         x = np.asarray(x, dtype=np.float64)
         c = np.asarray(c, dtype=np.float64)
         feats = self.time_features(t, sched.T)
-        lead = x.shape[:-1]
-        cb = np.broadcast_to(c, lead + (self.embed_dim,))
-        fb = np.broadcast_to(feats, lead + (self.time_feats,))
-        inp = np.concatenate([x, cb, fb], axis=-1)
-        out, _, _ = self._forward_cached(inp.reshape(-1, inp.shape[-1]))
-        return out.reshape(lead + (self.data_dim,))
+        lead = np.broadcast_shapes(x.shape[:-1], c.shape[:-1])
+        inp = np.concatenate([np.broadcast_to(x, lead + (self.data_dim,)),
+                              np.broadcast_to(c, lead + (self.embed_dim,)),
+                              np.broadcast_to(feats, lead + (self.time_feats,))], axis=-1)
+        out, _, _ = self._forward_cached(inp, rowwise=True)
+        return out
 
     def emit_score(self, g, x_ref, c_ref, t, sched):
         """Append the network forward pass to graph g (inputs x, c)."""

@@ -48,11 +48,15 @@ class DateConfig:
 @dataclass(frozen=True)
 class UpdateDirection:
     eps: np.ndarray        # the applied step; norm rho whenever grad_norm > 0
-    grad_norm: float       # gradient norm before normalization
+    grad_norm: float       # gradient norm before normalization (largest row norm)
 
 
 def grad_h_t_wrt_c(x_t, c, t, model, sched, h, y, cache=None):
-    """Exact reverse-mode gradient of h(tweedie_mean(x_t, c, t); y) in c."""
+    """Exact reverse-mode gradient of h(tweedie_mean(x_t, c, t); y) in c.
+
+    x_t and c are one row each or equally long batches of rows; the result
+    has one gradient row per row.
+    """
     cache = cache or GraphCache()
     g = cache.h_t(model, h, y, t, sched)
     evaluate(g, {"x": np.asarray(x_t, dtype=np.float64),
@@ -64,12 +68,17 @@ def grad_h_t_wrt_c(x_t, c, t, model, sched, h, y, cache=None):
 
 
 def scaled_direction(grad, rho):
-    """rho * grad / ||grad||, or zeros when the gradient vanishes."""
+    """rho * grad / ||grad|| per row, with zeros for a row whose gradient
+    vanishes.
+
+    Returns the direction and the gradient norm; for a batch of rows, the
+    largest row norm, which is 0 exactly when no row moves.
+    """
     grad = np.asarray(grad, dtype=np.float64)
-    n = float(np.linalg.norm(grad))
-    if n == 0.0:
-        return np.zeros_like(grad), 0.0
-    return rho * grad / n, n
+    norms = np.sqrt(np.vecdot(grad, grad))       # the bits of np.linalg.norm per row
+    moved = norms[..., None] != 0.0
+    eps = np.divide(rho * grad, norms[..., None], out=np.zeros_like(grad), where=moved)
+    return eps, float(np.max(norms))
 
 
 def date_update(x_t, c_org, t, cfg, model, sched, h, y, c_encoder=None, cache=None):
@@ -79,6 +88,8 @@ def date_update(x_t, c_org, t, cfg, model, sched, h, y, c_encoder=None, cache=No
     h_t(c) - l2_weight * ||c - c_encoder||^2, differentiated at the origin;
     under "fresh" the regularizer is inactive (the origin IS the encoder
     embedding).  Returns the updated embedding and the applied direction.
+    A batch of rows (x_t and c_org of shapes (n, d) and (n, e)) updates
+    every row at once, each exactly as it would be on its own.
     """
     c_org = np.asarray(c_org, dtype=np.float64)
     grad = grad_h_t_wrt_c(x_t, c_org, t, model, sched, h, y, cache=cache)

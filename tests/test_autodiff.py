@@ -223,3 +223,68 @@ def test_param_gradients_accumulate():
     param_gradients(g)
     np.testing.assert_allclose(W.grad, np.outer([1.0, 2.0, 3.0], x0), rtol=1e-15)
     np.testing.assert_allclose(bvec.grad, [1.0, 2.0, 3.0], rtol=1e-15)
+
+
+def test_batched_rows_match_single_rows_bitwise():
+    """A binding with a leading batch axis gives, row for row, the bits of
+    evaluating and differentiating each row on its own."""
+    rng = np.random.default_rng(7)
+    for build in _primitive_cases(rng):
+        g = Graph()
+        x = g.placeholder("x")
+        g.mark_output(build(g, x))
+        X = rng.standard_normal((4, 5)) * 1.5
+        values = evaluate(g, {"x": X}).copy()
+        grads = gradient(g, "x")
+        assert values.shape == (4,) and grads.shape == (4, 5)
+        for i in range(4):
+            one = evaluate(g, {"x": X[i]})
+            np.testing.assert_array_equal(values[i], one, err_msg=build.__name__)
+            np.testing.assert_array_equal(grads[i], gradient(g, "x"), err_msg=build.__name__)
+
+
+def test_batch_axes_must_agree_across_inputs():
+    g = Graph()
+    a = g.placeholder("a")
+    b = g.placeholder("b")
+    g.mark_output(g.dot(a, b))
+    with pytest.raises(GraphError, match="batch axes"):
+        evaluate(g, {"a": np.ones((3, 2)), "b": np.ones((2, 2))})
+    with pytest.raises(GraphError, match="batch axes"):
+        evaluate(g, {"a": np.ones((3, 2)), "b": np.ones(2)})
+
+
+def test_scalar_placeholder_rows():
+    """A rank-0 placeholder binds one scalar per row."""
+    g = Graph()
+    s = g.placeholder("s", rank=0)
+    v = g.placeholder("v")
+    g.mark_output(g.dot(g.smul(s, v), g.constant(np.array([1.0, 2.0]))))
+    S = np.array([2.0, -1.0, 0.5])
+    V = np.arange(6.0).reshape(3, 2)
+    np.testing.assert_array_equal(evaluate(g, {"s": S, "v": V}), S * (V @ [1.0, 2.0]))
+    np.testing.assert_array_equal(gradient(g, "s"), V @ [1.0, 2.0])
+
+
+def test_row_ranks_checked_when_built():
+    g = Graph()
+    x = g.placeholder("x")
+    s = g.dot(x, x)
+    with pytest.raises(GraphError, match="row ranks"):
+        g.add(x, s)
+    with pytest.raises(GraphError, match="scalar"):
+        g.smul(x, x)
+    with pytest.raises(GraphError, match="vector"):
+        g.dot(s, s)
+
+
+def test_param_gradients_sum_over_rows():
+    rng = np.random.default_rng(4)
+    W = Param(rng.standard_normal((3, 4)))
+    g = Graph()
+    x = g.placeholder("x")
+    g.mark_output(g.dot(g.affine(x, W), g.constant(np.array([1.0, 2.0, 3.0]))))
+    X = rng.standard_normal((5, 4))
+    evaluate(g, {"x": X})
+    param_gradients(g)
+    np.testing.assert_allclose(W.grad, np.outer([1.0, 2.0, 3.0], X.sum(axis=0)), rtol=1e-13)
