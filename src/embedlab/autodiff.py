@@ -13,9 +13,9 @@ packing operations needed to compose them.  Everything the lab
 differentiates is expressed in these terms.
 
 Every node has a row rank fixed when it is built: 1 for a vector, 0 for a
-scalar.  Placeholders declare theirs.  A binding may carry leading batch
-axes in front of its row, and then every node carries the same axes and
-treats each row on its own:
+scalar.  Placeholders are vectors.  A binding may carry leading batch axes
+in front of its row, and then every node carries the same axes and treats
+each row on its own:
 
 * ``affine`` and the reductions (``dot``, ``norm``, ``cosine``, ``softmax``,
   ``logsumexp``, ``quadform``, ``gauss_logpdf``, ``vsum``) act on the last
@@ -53,17 +53,13 @@ class Param:
 
 
 class _Node:
-    # live: the node depends on a placeholder, so adjoints flow into it;
-    # live_args: which of its arguments are live
-    __slots__ = ("op", "args", "payload", "rank", "live", "live_args")
+    __slots__ = ("op", "args", "payload", "rank")
 
-    def __init__(self, op, args, payload, rank, live, live_args=()):
+    def __init__(self, op, args, payload, rank):
         self.op = op
         self.args = args
         self.payload = payload
         self.rank = rank
-        self.live = live
-        self.live_args = live_args
 
 
 def _as_array(v):
@@ -134,19 +130,15 @@ class Graph:
         if args and not (0 <= min(args) and max(args) < len(nodes)):
             bad = next(a for a in args if not 0 <= a < len(nodes))
             raise GraphError(f"{op}: argument node {bad} does not exist")
-        arg_nodes = [nodes[a] for a in args]
-        live = tuple([n.live for n in arg_nodes])
-        rank = _result_rank(op, [n.rank for n in arg_nodes])
-        nodes.append(_Node(op, args, payload, rank, True in live, live))
+        rank = _result_rank(op, [nodes[a].rank for a in args])
+        nodes.append(_Node(op, args, payload, rank))
         return len(nodes) - 1
 
-    def placeholder(self, name, rank=1):
-        """A named input whose rows are vectors (rank 1) or scalars (rank 0)."""
+    def placeholder(self, name):
+        """A named input whose rows are vectors."""
         if name in self.input_ids:
             raise GraphError(f"duplicate placeholder {name!r}")
-        if rank not in (0, 1):
-            raise GraphError(f"placeholder {name!r}: row rank must be 0 or 1")
-        self.nodes.append(_Node("input", (), {"name": name}, rank, True))
+        self.nodes.append(_Node("input", (), {"name": name}, 1))
         self.input_ids[name] = len(self.nodes) - 1
         return self.input_ids[name]
 
@@ -154,7 +146,7 @@ class Graph:
         value = _as_array(value)
         if value.ndim > 1:
             raise GraphError("constants are scalars or vectors")
-        self.nodes.append(_Node("const", (), {"value": value}, value.ndim, False))
+        self.nodes.append(_Node("const", (), {"value": value}, value.ndim))
         return len(self.nodes) - 1
 
     def add(self, a, b):
@@ -375,9 +367,8 @@ def _b_silu(node, g, y, x):
 def _b_cosine(node, g, y, a, b):
     na, nb = _norm(a), _norm(b)
     g, y, nab = _col(g), _col(y), _col(na * nb)
-    live_a, live_b = node.live_args
-    return (g * (b / nab - y * a / _col(na * na)) if live_a else None,
-            g * (a / nab - y * b / _col(nb * nb)) if live_b else None)
+    return (g * (b / nab - y * a / _col(na * na)),
+            g * (a / nab - y * b / _col(nb * nb)))
 
 
 def _b_gauss_logpdf(node, g, y, x, mu):
@@ -386,7 +377,8 @@ def _b_gauss_logpdf(node, g, y, x, mu):
 
 
 def _b_pick(node, g, y, v):
-    full = np.zeros_like(v)
+    # g carries the batch axes even when v is an unbatched constant
+    full = np.zeros(g.shape + v.shape[-1:])
     full[..., node.payload["i"]] = g
     return (full,)
 
@@ -431,7 +423,8 @@ def _accumulate_params(node, g, x):
     W, b = node.payload["W"], node.payload["b"]
     g2 = g.reshape(-1, g.shape[-1])
     if isinstance(W, Param):
-        W.grad += g2.T @ x.reshape(-1, x.shape[-1])
+        x2 = np.broadcast_to(x, g.shape[:-1] + x.shape[-1:]).reshape(-1, x.shape[-1])
+        W.grad += g2.T @ x2
     if isinstance(b, Param):
         b.grad += g2.sum(axis=0)
 
@@ -450,15 +443,14 @@ def _backward(graph, accumulate_params=False):
     for i in range(len(nodes) - 1, -1, -1):
         g = adj[i]
         node = nodes[i]
-        if g is None or not node.live or node.op == "input":
+        if g is None or node.op in ("input", "const"):
             continue
         if node.op == "norm" and np.any(vals[i] == 0.0):
             raise GraphError(f"norm gradient undefined at zero (node {i})")
         args = node.args
         grads = _BACKWARD[node.op](node, g, vals[i], *[vals[a] for a in args])
-        for a, ga, live in zip(args, grads, node.live_args):
-            if live:
-                adj[a] = ga if adj[a] is None else adj[a] + ga
+        for a, ga in zip(args, grads):
+            adj[a] = ga if adj[a] is None else adj[a] + ga
         if accumulate_params and node.op == "affine":
             _accumulate_params(node, g, vals[args[0]])
     return adj

@@ -106,21 +106,26 @@ def directional_cgrad_graph(model, direction, c_org, t, sched):
 
 
 class GraphCache:
-    """Reuse per-timestep graphs within a sampling run.
+    """Reuse graphs within a sampling run.
 
     Graphs carry their last forward values, so a cache must not be shared
     across threads; each run_experiment call owns one, which serves the
-    whole batch of trajectories.
+    whole batch of trajectories.  A run visits each timestep once, so only
+    the latest timestep's h_t graph is kept: its values hold a row per
+    trajectory, and older ones would never be looked up again.
     """
 
     def __init__(self):
         self._graphs = {}
+        self._h_t_key = None
+        self._h_t_graph = None
 
     def h_t(self, model, h, y, t, sched):
-        key = ("h_t", id(model), id(h), int(y), int(t))
-        if key not in self._graphs:
-            self._graphs[key] = h_t_graph(model, h, y, t, sched)
-        return self._graphs[key]
+        key = (id(model), id(h), int(y), int(t))
+        if key != self._h_t_key:
+            self._h_t_graph = h_t_graph(model, h, y, t, sched)
+            self._h_t_key = key
+        return self._h_t_graph
 
     def perturbed_h(self, h, y):
         key = ("perturbed_h", id(h), int(y))

@@ -254,18 +254,6 @@ def test_batch_axes_must_agree_across_inputs():
         evaluate(g, {"a": np.ones((3, 2)), "b": np.ones(2)})
 
 
-def test_scalar_placeholder_rows():
-    """A rank-0 placeholder binds one scalar per row."""
-    g = Graph()
-    s = g.placeholder("s", rank=0)
-    v = g.placeholder("v")
-    g.mark_output(g.dot(g.smul(s, v), g.constant(np.array([1.0, 2.0]))))
-    S = np.array([2.0, -1.0, 0.5])
-    V = np.arange(6.0).reshape(3, 2)
-    np.testing.assert_array_equal(evaluate(g, {"s": S, "v": V}), S * (V @ [1.0, 2.0]))
-    np.testing.assert_array_equal(gradient(g, "s"), V @ [1.0, 2.0])
-
-
 def test_row_ranks_checked_when_built():
     g = Graph()
     x = g.placeholder("x")
@@ -288,3 +276,21 @@ def test_param_gradients_sum_over_rows():
     evaluate(g, {"x": X})
     param_gradients(g)
     np.testing.assert_allclose(W.grad, np.outer([1.0, 2.0, 3.0], X.sum(axis=0)), rtol=1e-13)
+
+
+def test_batched_adjoints_reach_constant_subgraphs():
+    """Unbatched constants receive batched adjoints: a pick of a constant
+    takes them, and a Param weight over a constant input accumulates the
+    sum over rows."""
+    rng = np.random.default_rng(5)
+    W = Param(rng.standard_normal((3, 2)))
+    cvec = np.array([1.5, -2.0])
+    g = Graph()
+    x = g.placeholder("x")
+    cn = g.constant(cvec)
+    g.mark_output(g.add(g.dot(g.affine(cn, W), x), g.smul(g.pick(cn, 1), g.vsum(x))))
+    X = rng.standard_normal((4, 3))
+    evaluate(g, {"x": X})
+    np.testing.assert_allclose(gradient(g, "x"), np.tile(W.value @ cvec - 2.0, (4, 1)), rtol=1e-14)
+    param_gradients(g)
+    np.testing.assert_allclose(W.grad, np.outer(X.sum(axis=0), cvec), rtol=1e-13)
