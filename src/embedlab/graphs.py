@@ -3,8 +3,8 @@
 Each builder returns a :class:`~embedlab.autodiff.Graph` with placeholders
 named ``"x"`` (and usually ``"c"``), so one graph serves both the embedding
 gradient (reverse sweep to ``c``) and the data-space gradient (reverse sweep
-to ``x``).  Graphs are cheap to rebuild but caching one per timestep pays
-off inside sampling loops; ``GraphCache`` provides that.
+to ``x``).  Graphs are cheap to rebuild; ``GraphCache`` reuses one within a
+timestep of a sampling run.
 """
 
 from __future__ import annotations
