@@ -28,6 +28,17 @@ Constants carry no batch axes and broadcast.  Each batched form rounds
 exactly as the same primitive on one row does (stacked ``matmul`` rather
 than one gemm, ``vecdot`` rather than a sum of products), so a batch gives
 the same bits as its rows evaluated one at a time.
+
+Constant folding: a node whose arguments are all constants, and whose
+payload holds no :class:`Param`, is evaluated once when it is appended and
+stored as a constant at the same node index.  The forward pass then reads
+its value instead of recomputing it, and the reverse sweep does not enter
+it (an adjoint that reaches a constant is discarded).  Its value is the one
+the forward pass would have computed, so folding changes no bits.  An
+affine map with a Param weight or bias is never folded, so that
+:func:`param_gradients` still reaches the Param; a folded value that is
+not finite is still rejected by :func:`evaluate`, which names the node's
+index and its original primitive.
 """
 
 from __future__ import annotations
@@ -121,6 +132,7 @@ class Graph:
         self.input_ids: dict[str, int] = {}
         self.output: int | None = None
         self.values: list | None = None
+        self._const_ids: set[int] = set()   # nodes whose value is fixed when built
 
     # -- construction -----------------------------------------------------
 
@@ -130,8 +142,14 @@ class Graph:
         if args and not (0 <= min(args) and max(args) < len(nodes)):
             bad = next(a for a in args if not 0 <= a < len(nodes))
             raise GraphError(f"{op}: argument node {bad} does not exist")
-        rank = _result_rank(op, [nodes[a].rank for a in args])
-        nodes.append(_Node(op, args, payload, rank))
+        node = _Node(op, args, payload, _result_rank(op, [nodes[a].rank for a in args]))
+        if args and self._const_ids.issuperset(args) and not (
+                payload and any([isinstance(v, Param) for v in payload.values()])):
+            # fold: evaluate once now, and the node becomes a constant leaf
+            value = np.asarray(_FORWARD[op](node, *[nodes[a].payload["value"] for a in args]))
+            node.op, node.args, node.payload = "const", (), {"value": value, "folded": op}
+            self._const_ids.add(len(nodes))
+        nodes.append(node)
         return len(nodes) - 1
 
     def placeholder(self, name):
@@ -146,6 +164,7 @@ class Graph:
         value = _as_array(value)
         if value.ndim > 1:
             raise GraphError("constants are scalars or vectors")
+        self._const_ids.add(len(self.nodes))
         self.nodes.append(_Node("const", (), {"value": value}, value.ndim))
         return len(self.nodes) - 1
 
@@ -215,9 +234,10 @@ class Graph:
 
     def concat(self, parts):
         """Join scalar and vector nodes into one vector node."""
-        nid = self._append("concat", tuple(parts), {})
-        self.nodes[nid].payload["ranks"] = tuple(self.nodes[a].rank for a in parts)
-        return nid
+        parts = tuple(parts)
+        # a part that does not exist is skipped here and reported by _append
+        ranks = tuple(self.nodes[a].rank for a in parts if 0 <= a < len(self.nodes))
+        return self._append("concat", parts, {"ranks": ranks})
 
     def vsum(self, a):
         """Sum of the components of a vector node."""
@@ -278,7 +298,6 @@ def _f_concat(node, *vs):
 
 
 _FORWARD = {
-    "const": lambda node: node.payload["value"],
     "add": lambda node, a, b: a + b,
     "sub": lambda node, a, b: a - b,
     "neg": lambda node, a: -a,
@@ -309,7 +328,11 @@ def _check_finite(graph, vals):
         return
     for i, v in enumerate(vals):
         if not np.all(np.isfinite(v)):
-            raise GraphError(f"non-finite value at node {i} ({graph.nodes[i].op})")
+            node = graph.nodes[i]
+            what = node.op
+            if node.op == "const" and "folded" in node.payload:
+                what = f"{node.payload['folded']}, folded"
+            raise GraphError(f"non-finite value at node {i} ({what})")
 
 
 def evaluate(graph, bindings):
@@ -329,7 +352,9 @@ def evaluate(graph, bindings):
     vals = [None] * len(graph.nodes)
     batch = None
     for i, node in enumerate(graph.nodes):
-        if node.op == "input":
+        if node.op == "const":
+            v = node.payload["value"]
+        elif node.op == "input":
             name = node.payload["name"]
             v = _as_array(bindings[name])
             if v.ndim < node.rank:

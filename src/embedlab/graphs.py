@@ -3,8 +3,11 @@
 Each builder returns a :class:`~embedlab.autodiff.Graph` with placeholders
 named ``"x"`` (and usually ``"c"``), so one graph serves both the embedding
 gradient (reverse sweep to ``c``) and the data-space gradient (reverse sweep
-to ``x``).  Graphs are cheap to rebuild; ``GraphCache`` reuses one within a
-timestep of a sampling run.
+to ``x``).  A build appends nodes and also evaluates, once, every node whose
+arguments are all constants (see :mod:`embedlab.autodiff`), so a graph over
+constant embeddings, such as the classifier graph rebuilt at every step,
+costs at build time what its forward pass no longer does.  ``GraphCache``
+reuses an ``h_t`` graph within a timestep of a sampling run.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Graph
+from .models import prompt_stack
 
 
 def tweedie_graph_nodes(g, model, x_ref, c_ref, t, sched):
@@ -56,13 +60,18 @@ def log_likelihood_graph(model, t, sched):
 
 
 def classifier_graph(conditionals, priors, y, t, sched):
-    """Graph for log p(y | x) under the Bayes classifier over prompts."""
+    """Graph for log p(y | x) under the Bayes classifier over prompts.
+
+    The embeddings are constants, so the nodes that do not depend on x
+    (weight logits, component means, the logits' log-sum-exp) are folded
+    to constants while the graph is built.
+    """
+    model, embeddings, priors = prompt_stack(conditionals, priors)
     g = Graph()
     x_ref = g.placeholder("x")
     terms = []
-    for prior, (model, c) in zip(priors, conditionals):
-        c_const = g.constant(np.asarray(c, dtype=np.float64))
-        lp = model.emit_log_likelihood(g, x_ref, c_const, t, sched)
+    for prior, c in zip(priors, embeddings):
+        lp = model.emit_log_likelihood(g, x_ref, g.constant(c), t, sched)
         terms.append(g.add(lp, g.constant(np.log(prior))))
     g.mark_output(g.sub(terms[int(y)], g.logsumexp(g.pack(terms))))
     return g

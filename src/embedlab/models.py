@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -38,6 +39,17 @@ class TrainingDiverged(RuntimeError):
 def _logsumexp(a, axis=-1):
     m = np.max(a, axis=axis, keepdims=True)
     return np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(a - m), axis=axis))
+
+
+def _responsibilities(comp):
+    return np.exp(comp - _logsumexp(comp)[..., None])
+
+
+def _score_from(comp, diff, variances):
+    """sum_k r_k (mu_k - x) / var_k from a log joint; overwrites diff."""
+    np.negative(diff, out=diff)
+    diff /= variances
+    return np.sum(_responsibilities(comp)[..., None] * diff, axis=-2)
 
 
 @dataclass(frozen=True)
@@ -99,61 +111,42 @@ class MixtureModel:
         variances = ab * self.covs + (1.0 - ab)
         return means, variances
 
-    def _component_logpdfs(self, x, c, t, sched):
-        x = np.asarray(x, dtype=np.float64)
+    def _log_weights(self, c):
+        logits = np.einsum("ke,...e->...k", self.weight_logits, c)
+        return logits - _logsumexp(logits)[..., None]
+
+    def _log_joint(self, x, c, t, sched):
+        """log w_k(c) + log N_t(x; mu_k, var_k), shape (..., K), with x - mu_k,
+        shape (..., K, d), and the variances, shape (K, d).  Leading axes of x
+        and c broadcast, so embeddings stacked on a new axis take one pass."""
         means, variances = self.perturbed_params(c, t, sched)
-        diff = x[..., None, :] - means
-        return -0.5 * np.sum(diff * diff / variances + np.log(2.0 * np.pi * variances), axis=-1)
+        diff = np.asarray(x, dtype=np.float64)[..., None, :] - means
+        logpdfs = -0.5 * np.sum(diff * diff / variances + np.log(2.0 * np.pi * variances), axis=-1)
+        return self._log_weights(c) + logpdfs, diff, variances
 
     def log_likelihood(self, x, c, t, sched):
         """Exact log p_t(x | c); batched over leading axes of x (and c)."""
-        logits = np.einsum("ke,...e->...k", self.weight_logits, np.asarray(c, dtype=np.float64))
-        logw = logits - _logsumexp(logits)[..., None]
-        return _logsumexp(logw + self._component_logpdfs(x, c, t, sched))
+        return _logsumexp(self._log_joint(x, c, t, sched)[0])
 
     def score(self, x, c, t, sched):
         """Exact conditional score grad_x log p_t(x | c)."""
-        x = np.asarray(x, dtype=np.float64)
-        means, variances = self.perturbed_params(c, t, sched)
-        logits = np.einsum("ke,...e->...k", self.weight_logits, np.asarray(c, dtype=np.float64))
-        logw = logits - _logsumexp(logits)[..., None]
-        comp = logw + self._component_logpdfs(x, c, t, sched)
-        r = np.exp(comp - _logsumexp(comp)[..., None])
-        pulls = -(x[..., None, :] - means) / variances
-        return np.sum(r[..., None] * pulls, axis=-2)
+        return _score_from(*self._log_joint(x, c, t, sched))
 
     def grad_c_log_likelihood(self, x, c, t, sched):
         """Exact grad_c log p_t(x | c) for a single (x, c) pair."""
-        x = np.asarray(x, dtype=np.float64)
-        c = np.asarray(c, dtype=np.float64)
         ab = sched.alpha_bar(t)
-        means, variances = self.perturbed_params(c, t, sched)
-        logits = self.weight_logits @ c
-        logw = logits - _logsumexp(logits)
-        w = np.exp(logw)
-        comp = logw + self._component_logpdfs(x, c, t, sched)
-        r = np.exp(comp - _logsumexp(comp))
-        mean_logit = w @ self.weight_logits
-        out = np.zeros_like(c)
-        for k in range(self.n_components):
-            pull = (x - means[k]) / variances[k]
-            out += r[k] * (self.weight_logits[k] - mean_logit
-                           + np.sqrt(ab) * self.mean_maps[k].T @ pull)
-        return out
+        comp, diff, variances = self._log_joint(x, c, t, sched)
+        mean_logit = np.exp(self._log_weights(c)) @ self.weight_logits
+        pulls = np.sqrt(ab) * self.mean_maps.transpose(0, 2, 1) @ (diff / variances)[..., None]
+        return np.sum(_responsibilities(comp)[:, None]
+                      * (self.weight_logits - mean_logit + pulls[..., 0]), axis=0)
 
     def posterior_mean_x0(self, x_t, c, t, sched):
         """Responsibility-weighted posterior mean E[x0 | x_t, c], exact."""
-        x_t = np.asarray(x_t, dtype=np.float64)
         ab = sched.alpha_bar(t)
-        means0 = self.component_means(c)
-        variances = ab * self.covs + (1.0 - ab)
-        logits = np.einsum("ke,...e->...k", self.weight_logits, np.asarray(c, dtype=np.float64))
-        logw = logits - _logsumexp(logits)[..., None]
-        comp = logw + self._component_logpdfs(x_t, c, t, sched)
-        r = np.exp(comp - _logsumexp(comp)[..., None])
-        gain = np.sqrt(ab) * self.covs / variances
-        cond_means = means0 + gain * (x_t[..., None, :] - np.sqrt(ab) * means0)
-        return np.sum(r[..., None] * cond_means, axis=-2)
+        comp, diff, variances = self._log_joint(x_t, c, t, sched)
+        cond_means = self.component_means(c) + np.sqrt(ab) * self.covs / variances * diff
+        return np.sum(_responsibilities(comp)[..., None] * cond_means, axis=-2)
 
     def moments_x0(self, c):
         """Mean and covariance of the clean conditional p(x0 | c)."""
@@ -175,39 +168,29 @@ class MixtureModel:
 
     # -- tape emission -------------------------------------------------------
 
-    def emit_log_likelihood(self, g, x_ref, c_ref, t, sched):
-        """Append nodes computing log p_t(x | c) to graph g."""
+    def _emit_log_joint(self, g, x_ref, c_ref, t, sched):
+        """Nodes for the logits, each unnormalized log w_k + log N_t(x; mu_k,
+        var_k) and each mu_k; also the variances."""
         ab = sched.alpha_bar(t)
         variances = ab * self.covs + (1.0 - ab)
         logits = g.affine(c_ref, self.weight_logits)
-        comps = []
-        for k in range(self.n_components):
-            mu = g.affine(c_ref, np.sqrt(ab) * self.mean_maps[k],
-                          np.sqrt(ab) * self.mean_offsets[k])
-            lp = g.gauss_logpdf(x_ref, mu, variances[k])
-            comps.append(g.add(g.pick(logits, k), lp))
+        mus = [g.affine(c_ref, np.sqrt(ab) * M, np.sqrt(ab) * b)
+               for M, b in zip(self.mean_maps, self.mean_offsets)]
+        comps = [g.add(g.pick(logits, k), g.gauss_logpdf(x_ref, mu, v))
+                 for k, (mu, v) in enumerate(zip(mus, variances))]
+        return logits, comps, mus, variances
+
+    def emit_log_likelihood(self, g, x_ref, c_ref, t, sched):
+        """Append nodes computing log p_t(x | c) to graph g."""
+        logits, comps, _, _ = self._emit_log_joint(g, x_ref, c_ref, t, sched)
         return g.sub(g.logsumexp(g.pack(comps)), g.logsumexp(logits))
 
     def emit_score(self, g, x_ref, c_ref, t, sched):
         """Append nodes computing the conditional score vector to graph g."""
-        ab = sched.alpha_bar(t)
-        variances = ab * self.covs + (1.0 - ab)
-        logits = g.affine(c_ref, self.weight_logits)
-        comps = []
-        pulls = []
-        for k in range(self.n_components):
-            mu = g.affine(c_ref, np.sqrt(ab) * self.mean_maps[k],
-                          np.sqrt(ab) * self.mean_offsets[k])
-            lp = g.gauss_logpdf(x_ref, mu, variances[k])
-            comps.append(g.add(g.pick(logits, k), lp))
-            diff = g.sub(x_ref, mu)
-            pulls.append(g.affine(diff, np.diag(-1.0 / variances[k])))
+        _, comps, mus, variances = self._emit_log_joint(g, x_ref, c_ref, t, sched)
         resp = g.softmax(g.pack(comps))
-        out = None
-        for k in range(self.n_components):
-            term = g.smul(g.pick(resp, k), pulls[k])
-            out = term if out is None else g.add(out, term)
-        return out
+        pulls = [g.affine(g.sub(x_ref, mu), np.diag(-1.0 / v)) for mu, v in zip(mus, variances)]
+        return reduce(g.add, [g.smul(g.pick(resp, k), pull) for k, pull in enumerate(pulls)])
 
 
 class ScoreNet:
@@ -356,16 +339,36 @@ def train_dsm(net, model, sched, steps, batch, lr, seed, embeddings=None):
     return losses
 
 
+def prompt_stack(conditionals, priors):
+    """Check a prompt set; return its one model, (P, e) embeddings, (P,) priors."""
+    P = len(conditionals)
+    if P == 0:
+        raise ModelError("empty prompt set")
+    model = conditionals[0][0]
+    if any(m is not model for m, _ in conditionals):
+        raise ModelError("prompts use more than one model; the stacked pass needs one")
+    priors = np.asarray(priors, dtype=np.float64)
+    if priors.shape != (P,):
+        raise ModelError(f"priors have shape {priors.shape}, expected ({P},) for {P} prompts")
+    if abs(priors.sum() - 1.0) > 1e-9:
+        raise ModelError(f"priors sum to {priors.sum():.12g}, not 1")
+    return model, np.stack([np.asarray(c, dtype=np.float64) for _, c in conditionals]), priors
+
+
+def _prompt_posterior(conditionals, priors, x, t, sched):
+    """log p(y | x) for every prompt y, shape (P, ...), from one pass with the
+    embeddings stacked as (P, 1, ..., e) against x of shape (..., d); also
+    that pass's log joint, x - mu_k and variances."""
+    model, cs, priors = prompt_stack(conditionals, priors)
+    lift = (len(cs),) + (1,) * (np.ndim(x) - 1)
+    joint = model._log_joint(x, cs.reshape(lift + cs.shape[-1:]), t, sched)
+    lp = _logsumexp(joint[0]) + np.log(priors).reshape(lift)
+    return lp - _logsumexp(lp, axis=0), joint
+
+
 def classifier_log_prob(conditionals, priors, x_t, t, sched):
     """Bayes posterior log p(y | x_t) over a list of (model, embedding) pairs."""
-    if len(conditionals) == 0:
-        raise ModelError("empty prompt set")
-    priors = np.asarray(priors, dtype=np.float64)
-    if priors.shape != (len(conditionals),) or abs(priors.sum() - 1.0) > 1e-9:
-        raise ModelError("priors must match prompt count and sum to 1")
-    lp = np.array([m.log_likelihood(x_t, c, t, sched) + np.log(priors[i])
-                   for i, (m, c) in enumerate(conditionals)])
-    return lp - _logsumexp(lp, axis=0)
+    return _prompt_posterior(conditionals, priors, x_t, t, sched)[0]
 
 
 def unconditional_score(conditionals, priors, x, t, sched):
@@ -373,12 +376,8 @@ def unconditional_score(conditionals, priors, x, t, sched):
 
     grad_x log sum_y pi_y p(x|c_y) = sum_y p(y|x) grad_x log p(x|c_y).
     """
-    priors = np.asarray(priors, dtype=np.float64)
-    lps = np.stack([m.log_likelihood(x, c, t, sched) + np.log(priors[i])
-                    for i, (m, c) in enumerate(conditionals)])
-    post = np.exp(lps - _logsumexp(lps, axis=0))
-    scores = np.stack([m.score(x, c, t, sched) for m, c in conditionals])
-    return np.sum(post[..., None] * scores, axis=0)
+    log_post, joint = _prompt_posterior(conditionals, priors, x, t, sched)
+    return np.sum(np.exp(log_post)[..., None] * _score_from(*joint), axis=0)
 
 
 def ddpm_chain(model, sched, x_t, t, c, n, rng):

@@ -11,6 +11,9 @@ from embedlab.autodiff import (
     gradient,
     param_gradients,
 )
+from embedlab.graphs import classifier_graph
+from embedlab.models import default_task
+from embedlab.schedules import default_schedule
 
 
 def half_sq_norm_graph():
@@ -294,3 +297,62 @@ def test_batched_adjoints_reach_constant_subgraphs():
     np.testing.assert_allclose(gradient(g, "x"), np.tile(W.value @ cvec - 2.0, (4, 1)), rtol=1e-14)
     param_gradients(g)
     np.testing.assert_allclose(W.grad, np.outer(X.sum(axis=0), cvec), rtol=1e-13)
+
+
+# -- constant folding ---------------------------------------------------------
+
+def test_classifier_graph_leaves_no_constant_only_node():
+    """Every node whose arguments are all constants was folded into one."""
+    task, sched = default_task(), default_schedule()
+    for t in (1, 37, 100):
+        g = classifier_graph(task.conditionals(), task.priors, 2, t, sched)
+        folded = [n for n in g.nodes if n.op == "const" and "folded" in n.payload]
+        assert folded, "the prompts' logits and means should fold"
+        for i, node in enumerate(g.nodes):
+            if node.op not in ("const", "input"):
+                assert not all(g.nodes[a].op == "const" for a in node.args), (i, node.op)
+
+
+def test_param_weight_over_constant_is_not_folded():
+    W = Param(np.ones((2, 3)))
+    g = Graph()
+    c = g.constant(np.array([1.0, 2.0, 3.0]))
+    assert g.nodes[g.affine(c, W)].op == "affine"
+    assert g.nodes[g.affine(c, W.value)].op == "const"
+    assert g.nodes[g.affine(c, W.value, Param(np.zeros(2)))].op == "affine"
+
+
+def test_folded_gradient_matches_unfoldable_placeholder_graph():
+    """The classifier graph against the same function with each embedding
+    bound as a placeholder, which cannot fold: equal values and equal
+    x-gradients, bit for bit, batched and unbatched."""
+    task, sched = default_task(), default_schedule()
+    model, y = task.model, 1
+    rng = np.random.default_rng(17)
+    for t in (1, 20, 63, 100):
+        folded = classifier_graph(task.conditionals(), task.priors, y, t, sched)
+        g = Graph()
+        x = g.placeholder("x")
+        terms = [g.add(model.emit_log_likelihood(g, x, g.placeholder(f"c{i}"), t, sched),
+                       g.constant(np.log(p))) for i, p in enumerate(task.priors)]
+        g.mark_output(g.sub(terms[y], g.logsumexp(g.pack(terms))))
+        assert all(n.op != "const" or "folded" not in n.payload for n in g.nodes)
+        for X in (rng.standard_normal(2) * 2.0, rng.standard_normal((3, 2)) * 2.0):
+            cs = {f"c{i}": np.broadcast_to(c, X.shape[:-1] + c.shape)
+                  for i, c in enumerate(task.embed_table)}
+            v_fold = evaluate(folded, {"x": X}).copy()
+            v_ref = evaluate(g, dict(cs, x=X)).copy()
+            np.testing.assert_array_equal(v_fold, v_ref)
+            np.testing.assert_array_equal(gradient(folded, "x"), gradient(g, "x"))
+
+
+def test_nonfinite_folded_constant_rejected_with_node_index():
+    g = Graph()
+    x = g.placeholder("x")
+    big = g.constant(np.array([1e308, 1e308]))
+    with np.errstate(over="ignore"):
+        s = g.add(big, big)
+    assert g.nodes[s].op == "const"
+    g.mark_output(g.dot(x, s))
+    with pytest.raises(GraphError, match=f"node {s} \\(add, folded\\)"):
+        evaluate(g, {"x": np.ones(2)})

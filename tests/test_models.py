@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from embedlab.autodiff import Graph, evaluate, gradient, param_gradients
-from embedlab.graphs import log_likelihood_graph
+from embedlab.graphs import classifier_graph, log_likelihood_graph
 from embedlab.models import (
     MixtureModel,
     ModelError,
@@ -11,6 +13,7 @@ from embedlab.models import (
     default_task,
     load_checkpoint,
     save_checkpoint,
+    tiny_task,
     train_dsm,
     unconditional_score,
 )
@@ -311,6 +314,107 @@ class TestClassifier:
             rhs = (unconditional_score(conds, task.priors, x, t, sched)
                    + classifier_grad(conds, task.priors, y, x, t, sched))
             np.testing.assert_allclose(lhs, rhs, atol=1e-8)
+
+
+# -- the prompt-stacked pass against the per-prompt formulas it replaced -----
+
+def _oracle_logsumexp(a, axis=-1):
+    m = np.max(a, axis=axis, keepdims=True)
+    return np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(a - m), axis=axis))
+
+
+def _oracle_log_joint(m, x, c, t, sched):
+    """log w_k + log N_t(x; mu_k, var_k) and the perturbed means and
+    variances, from the model's fields, one embedding at a time."""
+    x = np.asarray(x, dtype=np.float64)
+    ab = sched.alpha_bar(t)
+    means = np.sqrt(ab) * (np.einsum("kde,...e->...kd", m.mean_maps, c) + m.mean_offsets)
+    variances = ab * m.covs + (1.0 - ab)
+    diff = x[..., None, :] - means
+    logpdfs = -0.5 * np.sum(diff * diff / variances + np.log(2.0 * np.pi * variances), axis=-1)
+    logits = np.einsum("ke,...e->...k", m.weight_logits, c)
+    return logits - _oracle_logsumexp(logits)[..., None] + logpdfs, means, variances
+
+
+def _oracle_log_likelihood(m, x, c, t, sched):
+    return _oracle_logsumexp(_oracle_log_joint(m, x, c, t, sched)[0])
+
+
+def _oracle_score(m, x, c, t, sched):
+    comp, means, variances = _oracle_log_joint(m, x, c, t, sched)
+    r = np.exp(comp - _oracle_logsumexp(comp)[..., None])
+    pulls = -(np.asarray(x)[..., None, :] - means) / variances
+    return np.sum(r[..., None] * pulls, axis=-2)
+
+
+def _oracle_unconditional_score(conditionals, priors, x, t, sched):
+    lps = np.stack([_oracle_log_likelihood(m, x, c, t, sched) + np.log(priors[i])
+                    for i, (m, c) in enumerate(conditionals)])
+    post = np.exp(lps - _oracle_logsumexp(lps, axis=0))
+    scores = np.stack([_oracle_score(m, x, c, t, sched) for m, c in conditionals])
+    return np.sum(post[..., None] * scores, axis=0)
+
+
+def _oracle_classifier_log_prob(conditionals, priors, x, t, sched):
+    lp = np.array([_oracle_log_likelihood(m, x, c, t, sched) + np.log(priors[i])
+                   for i, (m, c) in enumerate(conditionals)])
+    return lp - _oracle_logsumexp(lp, axis=0)
+
+
+_TASKS = {"desk": default_task(), "tiny": tiny_task()}
+
+
+@given(task_name=st.sampled_from(sorted(_TASKS)), n=st.integers(0, 5),
+       t=st.integers(1, 100), scale=st.sampled_from([0.1, 1.0, 5.0]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_stacked_prompt_pass_matches_per_prompt_loop(task_name, n, t, scale, seed):
+    """unconditional_score and classifier_log_prob, one pass over all prompts,
+    give the bits of the per-prompt loops; n = 0 means one unbatched x."""
+    task = _TASKS[task_name]
+    sched = default_schedule()
+    d = task.model.data_dim
+    x = np.random.default_rng(seed).standard_normal((n, d) if n else d) * scale
+    conds = task.conditionals()
+    got = unconditional_score(conds, task.priors, x, t, sched)
+    want = _oracle_unconditional_score(conds, task.priors, x, t, sched)
+    assert got.shape == want.shape == x.shape
+    assert np.array_equal(got, want)
+    got = classifier_log_prob(conds, task.priors, x, t, sched)
+    want = _oracle_classifier_log_prob(conds, task.priors, x, t, sched)
+    assert got.shape == want.shape == (task.n_prompts,) + x.shape[:-1]
+    assert np.array_equal(got, want)
+
+
+class TestPromptSetValidation:
+    """unconditional_score, classifier_log_prob and classifier_graph share
+    one check of the prompt set and its priors."""
+
+    @staticmethod
+    def _all_reject(conds, priors, match, sched):
+        x = np.zeros(2)
+        for call in (lambda: unconditional_score(conds, priors, x, 10, sched),
+                     lambda: classifier_log_prob(conds, priors, x, 10, sched),
+                     lambda: classifier_graph(conds, priors, 0, 10, sched)):
+            with pytest.raises(ModelError, match=match):
+                call()
+
+    def test_empty_prompt_set(self, sched):
+        self._all_reject([], [], "empty prompt set", sched)
+
+    def test_prompts_from_two_models(self, task, sched):
+        other = MixtureModel(task.model.mean_maps, task.model.mean_offsets,
+                             task.model.covs, task.model.weight_logits)
+        conds = [(task.model, task.embedding(0)), (other, task.embedding(1))]
+        self._all_reject(conds, [0.5, 0.5], "more than one model", sched)
+
+    def test_priors_of_wrong_shape(self, task, sched):
+        conds = task.conditionals()
+        self._all_reject(conds, [0.5, 0.5], r"priors have shape \(2,\), expected \(4,\)", sched)
+        self._all_reject(conds, np.full((4, 1), 0.25), "priors have shape", sched)
+
+    def test_priors_not_summing_to_one(self, task, sched):
+        self._all_reject(task.conditionals(), [0.25, 0.25, 0.25, 0.3], "sum to 1.05", sched)
 
 
 class TestCheckpoints:
