@@ -103,9 +103,12 @@ def cmd_train(args):
     save_checkpoint(net, path)
     write_csv(os.path.join(out, "train_losses.csv"), ["step", "loss"],
               [(i, float(v)) for i, v in enumerate(losses)])
-    first = float(np.mean(losses[:max(1, len(losses) // 10)]))
-    last = float(np.mean(losses[-max(1, len(losses) // 10):]))
-    print(f"trained {args.steps} steps: loss {_fmt(first)} -> {_fmt(last)}")
+    if len(losses):
+        first = float(np.mean(losses[:max(1, len(losses) // 10)]))
+        last = float(np.mean(losses[-max(1, len(losses) // 10):]))
+        print(f"trained {args.steps} steps: loss {_fmt(first)} -> {_fmt(last)}")
+    else:
+        print(f"trained {args.steps} steps")
     print(f"checkpoint: {path}")
     return 0
 

@@ -17,6 +17,8 @@ directions are handled by the update module.
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import dataclass
 from functools import reduce
 
@@ -193,6 +195,12 @@ class MixtureModel:
         return reduce(g.add, [g.smul(g.pick(resp, k), pull) for k, pull in enumerate(pulls)])
 
 
+def _mlp_layer_shapes(data_dim, embed_dim, hidden, depth, time_feats):
+    """(weight shape, bias shape) of each ScoreNet layer, input first."""
+    sizes = [data_dim + embed_dim + time_feats] + [hidden] * depth + [data_dim]
+    return [((fan_out, fan_in), (fan_out,)) for fan_in, fan_out in zip(sizes[:-1], sizes[1:])]
+
+
 class ScoreNet:
     """SiLU MLP score model over concat(x, c, sinusoidal time features)."""
 
@@ -205,16 +213,15 @@ class ScoreNet:
         self.depth = int(depth)
         self.time_feats = int(time_feats)
         rng = np.random.default_rng(seed)
-        sizes = [self.data_dim + self.embed_dim + self.time_feats]
-        sizes += [self.hidden] * self.depth + [self.data_dim]
+        layers = _mlp_layer_shapes(self.data_dim, self.embed_dim, self.hidden, self.depth,
+                                   self.time_feats)
         self.params = []
-        for i in range(len(sizes) - 1):
-            fan_in = sizes[i]
-            scale = np.sqrt(1.0 / fan_in)
-            if i == len(sizes) - 2:
+        for i, (w_shape, b_shape) in enumerate(layers):
+            scale = np.sqrt(1.0 / w_shape[1])
+            if i == len(layers) - 1:
                 scale *= 0.1
-            self.params.append(Param(rng.normal(0.0, scale, (sizes[i + 1], fan_in))))
-            self.params.append(Param(np.zeros(sizes[i + 1])))
+            self.params.append(Param(rng.normal(0.0, scale, w_shape)))
+            self.params.append(Param(np.zeros(b_shape)))
 
     def time_features(self, t, T):
         """Sinusoidal features of t/T at octave frequencies."""
@@ -290,6 +297,9 @@ def train_dsm(net, model, sched, steps, batch, lr, seed, embeddings=None):
     rng = np.random.default_rng(seed)
     losses = np.zeros(steps)
     n_layers = len(net.params) // 2
+    # one row per timestep, each from the same call a single row would make,
+    # so a batch's features are bit-equal to per-row calls
+    feat_table = np.stack([net.time_features(t, sched.T) for t in range(1, sched.T + 1)])
 
     for step in range(steps):
         if embeddings is not None:
@@ -309,8 +319,7 @@ def train_dsm(net, model, sched, steps, batch, lr, seed, embeddings=None):
         xt = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
         target = -eps / np.sqrt(1.0 - ab)
 
-        feats = np.stack([net.time_features(t, sched.T) for t in ts])
-        inp = np.concatenate([xt, cs, feats], axis=1)
+        inp = np.concatenate([xt, cs, feat_table[ts - 1]], axis=1)
         out, acts, pre = net._forward_cached(inp)
 
         resid = out - target
@@ -399,7 +408,9 @@ def ddpm_chain(model, sched, x_t, t, c, n, rng):
 
 def save_checkpoint(model, path):
     """Write a model to JSON.  Doubles survive the round trip bit-exactly
-    because floats are serialised with repr precision."""
+    because floats are serialised with repr precision.  The file is written
+    under a temporary name in the same directory and then renamed over
+    `path`, so a failed write leaves any earlier checkpoint as it was."""
     if isinstance(model, MixtureModel):
         doc = {
             "kind": "mixture",
@@ -423,29 +434,87 @@ def save_checkpoint(model, path):
         }
     else:
         raise ModelError(f"cannot checkpoint {type(model).__name__}")
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    # json.dumps takes the C encoder, which json.dump never does; same bytes
+    text = json.dumps(doc)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def _checkpoint_size(doc, key, least):
+    v = doc[key]
+    if type(v) is not int or v < least:
+        raise ModelError(f"{key} must be an integer >= {least}, got {v!r}")
+    return v
+
+
+def _checkpoint_array(flat, key, shape):
+    """A flat JSON list as a float64 array of `shape`."""
+    try:
+        a = np.asarray(flat, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ModelError(f"{key} is not a list of numbers ({exc})") from None
+    n = math.prod(shape)
+    if a.shape != (n,):
+        raise ModelError(f"{key} has shape {a.shape}, expected {n} values for shape {shape}")
+    return a.reshape(shape)
+
+
+def _mixture_from(doc):
+    K, d, e = (_checkpoint_size(doc, k, 1) for k in ("n_components", "data_dim", "embed_dim"))
+    shapes = {"mean_maps": (K, d, e), "mean_offsets": (K, d), "covs": (K, d),
+              "weight_logits": (K, e)}
+    return MixtureModel(**{k: _checkpoint_array(doc[k], k, shape) for k, shape in shapes.items()})
+
+
+def _scorenet_from(doc):
+    dims = {k: _checkpoint_size(doc, k, least)
+            for k, least in (("data_dim", 1), ("embed_dim", 1), ("hidden", 1),
+                             ("depth", 0), ("time_feats", 0))}
+    shapes = [shape for layer in _mlp_layer_shapes(**dims) for shape in layer]
+    weights = doc["weights"]
+    if not isinstance(weights, list) or len(weights) != len(shapes):
+        held = (f"{len(weights)} arrays" if isinstance(weights, list)
+                else f"a {type(weights).__name__}")
+        raise ModelError(f"weights holds {held}, expected {len(shapes)} arrays "
+                         f"for depth {dims['depth']}")
+    values = [_checkpoint_array(flat, f"weights[{i}]", shape)
+              for i, (flat, shape) in enumerate(zip(weights, shapes))]
+    net = ScoreNet(**dims, seed=0)
+    for p, v in zip(net.params, values):
+        p.value = v
+    return net
+
+
+_CHECKPOINT_KINDS = {"mixture": _mixture_from, "scorenet": _scorenet_from}
 
 
 def load_checkpoint(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    kind = doc.get("kind")
-    if kind == "mixture":
-        K, d, e = doc["n_components"], doc["data_dim"], doc["embed_dim"]
-        return MixtureModel(
-            mean_maps=np.array(doc["mean_maps"]).reshape(K, d, e),
-            mean_offsets=np.array(doc["mean_offsets"]).reshape(K, d),
-            covs=np.array(doc["covs"]).reshape(K, d),
-            weight_logits=np.array(doc["weight_logits"]).reshape(K, e),
-        )
-    if kind == "scorenet":
-        net = ScoreNet(doc["data_dim"], doc["embed_dim"], hidden=doc["hidden"],
-                       depth=doc["depth"], time_feats=doc["time_feats"], seed=0)
-        for p, flat in zip(net.params, doc["weights"]):
-            p.value = np.array(flat, dtype=np.float64).reshape(p.value.shape)
-        return net
-    raise ModelError(f"unknown checkpoint kind {kind!r}")
+    """Read a model written by save_checkpoint.  Every size, array count and
+    array length is checked against the declared sizes before a model is
+    built; a malformed file raises ModelError naming the file and the key."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ModelError("not a JSON object")
+        kind = doc.get("kind")
+        build = _CHECKPOINT_KINDS.get(kind) if isinstance(kind, str) else None
+        if build is None:
+            raise ModelError(f"unknown checkpoint kind {kind!r}")
+        return build(doc)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ModelError(f"{path}: not valid JSON ({exc})") from None
+    except KeyError as exc:
+        raise ModelError(f"{path}: missing key {exc}") from None
+    except ModelError as exc:
+        raise ModelError(f"{path}: {exc}") from None
 
 
 # -- desk tasks ---------------------------------------------------------------

@@ -399,6 +399,13 @@ class TestCli:
         net = load_checkpoint(ckpt)
         assert net.data_dim == 2
 
+    @pytest.mark.filterwarnings("error")
+    def test_train_zero_steps_prints_no_loss(self, tmp_path, capsys):
+        code = cli_dispatch(["train", "--steps", "0", "--out", str(tmp_path / "t")])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[0] == "trained 0 steps"
+        assert (tmp_path / "t" / "train_losses.csv").read_text() == "step,loss\n"
+
     def test_bad_config_exit_1(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"sedd": 1}')

@@ -1,3 +1,6 @@
+import json
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -194,6 +197,21 @@ class TestTrainDsm:
         assert losses.size == 0
         for p, b in zip(net.params, before):
             np.testing.assert_array_equal(p.value, b)
+
+    def test_time_features_computed_once_per_timestep(self, task, monkeypatch):
+        """2 steps x 16 rows draw 32 timesteps from T=10, so a call per row
+        would exceed T."""
+        sched = make_schedule(10, "linear", 1e-4, 0.02)
+        calls = []
+        original = ScoreNet.time_features
+
+        def counted(self, t, T):
+            calls.append(t)
+            return original(self, t, T)
+
+        monkeypatch.setattr(ScoreNet, "time_features", counted)
+        train_dsm(ScoreNet(2, 4, seed=3), task.model, sched, steps=2, batch=16, lr=1e-3, seed=0)
+        assert 0 < len(calls) <= sched.T
 
     def test_backprop_matches_tape_engine(self, task, sched):
         """The hand-rolled training backprop against tape param gradients
@@ -438,3 +456,100 @@ class TestCheckpoints:
         c = np.ones(4)
         np.testing.assert_array_equal(net.score(x, c, 7, sched),
                                       loaded.score(x, c, 7, sched))
+
+    def test_bytes_match_json_dump_reference(self, task, tmp_path):
+        """The one-pass encoder writes what json.dump of the same doc wrote."""
+        def reference_save(model, path):
+            if isinstance(model, MixtureModel):
+                doc = {
+                    "kind": "mixture",
+                    "n_components": model.n_components,
+                    "data_dim": model.data_dim,
+                    "embed_dim": model.embed_dim,
+                    "mean_maps": model.mean_maps.reshape(-1).tolist(),
+                    "mean_offsets": model.mean_offsets.reshape(-1).tolist(),
+                    "covs": model.covs.reshape(-1).tolist(),
+                    "weight_logits": model.weight_logits.reshape(-1).tolist(),
+                }
+            else:
+                doc = {
+                    "kind": "scorenet",
+                    "data_dim": model.data_dim,
+                    "embed_dim": model.embed_dim,
+                    "hidden": model.hidden,
+                    "depth": model.depth,
+                    "time_feats": model.time_feats,
+                    "weights": [p.value.reshape(-1).tolist() for p in model.params],
+                }
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+
+        for model in (task.model, ScoreNet(2, 4, seed=9), ScoreNet(3, 2, hidden=5, depth=1,
+                                                                  time_feats=4, seed=1)):
+            save_checkpoint(model, tmp_path / "new.json")
+            reference_save(model, tmp_path / "ref.json")
+            assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+    def test_failed_write_keeps_previous_checkpoint(self, task, tmp_path, monkeypatch):
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(task.model, path)
+        before = path.read_bytes()
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        # fail while encoding, and after the temporary file is written
+        for target in ("dumps", "replace"):
+            with monkeypatch.context() as m:
+                m.setattr(json if target == "dumps" else os, target, boom)
+                with pytest.raises(RuntimeError, match="boom"):
+                    save_checkpoint(ScoreNet(2, 4, seed=9), path)
+            assert path.read_bytes() == before
+            assert os.listdir(tmp_path) == ["checkpoint.json"]
+
+
+class TestCheckpointValidation:
+    """A malformed checkpoint raises ModelError naming the file and the key."""
+
+    def _doc(self, model, tmp_path):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(model, path)
+        return path, json.loads(path.read_text())
+
+    def _rejects(self, path, doc, match):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelError, match=match) as exc:
+            load_checkpoint(path)
+        assert str(path) in str(exc.value)
+
+    def test_truncated_file(self, tmp_path):
+        path, _ = self._doc(ScoreNet(2, 4, seed=9), tmp_path)
+        path.write_text(path.read_text()[:500])
+        with pytest.raises(ModelError, match="not valid JSON") as exc:
+            load_checkpoint(path)
+        assert str(path) in str(exc.value)
+
+    def test_missing_key(self, task, tmp_path):
+        path, doc = self._doc(task.model, tmp_path)
+        del doc["covs"]
+        self._rejects(path, doc, "missing key 'covs'")
+
+    def test_too_few_weight_arrays(self, tmp_path):
+        path, doc = self._doc(ScoreNet(2, 4, seed=9), tmp_path)
+        doc["weights"] = doc["weights"][:4]
+        self._rejects(path, doc, "weights holds 4 arrays, expected 8")
+
+    def test_too_many_weight_arrays(self, tmp_path):
+        path, doc = self._doc(ScoreNet(2, 4, seed=9), tmp_path)
+        doc["weights"].append([0.0, 1.0])
+        self._rejects(path, doc, "weights holds 9 arrays, expected 8")
+
+    def test_wrong_length_scorenet_array(self, tmp_path):
+        path, doc = self._doc(ScoreNet(2, 4, seed=9), tmp_path)
+        doc["weights"][0] = doc["weights"][0][:-1]
+        self._rejects(path, doc, r"weights\[0\] has shape \(895,\), expected 896")
+
+    def test_wrong_length_mixture_array(self, task, tmp_path):
+        path, doc = self._doc(task.model, tmp_path)
+        doc["weight_logits"] = doc["weight_logits"] + [0.5]
+        self._rejects(path, doc, r"weight_logits has shape \(9,\), expected 8")
