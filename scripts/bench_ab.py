@@ -20,7 +20,9 @@ against the parent's, how many pairs the change won, and one verdict:
   than the metric's ``bound`` (a share of the parent's median);
 * ``unresolved``: anything else, including "no visible change".
 
-The temporary copy is removed on exit.
+A crashed run prints its side, workload, seed and stderr tail before the
+script stops; each pair's line is printed as soon as it has run.  The
+temporary copy is removed on exit.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("adaptive", "compare", "verify", "learned")
+STDERR_TAIL = 20   # lines of a crashed run's stderr to print
 
 
 def parse_seeds(spec):
@@ -69,12 +72,19 @@ def export_tree(rev, dest):
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
 
 
-def run_once(tree, workload, seed):
-    """One benchmark run in `tree`; returns its JSON result."""
-    proc = subprocess.run(
-        [sys.executable, os.path.join(tree, "perfbench", "run.py"), "--workload", workload,
-         "--seed", str(seed), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True, check=True)
+def run_once(side, tree, workload, seed):
+    """One benchmark run in `tree`; returns its JSON result.  A crashed run
+    prints its side, workload, seed and the tail of its stderr, then raises."""
+    try:
+        proc = subprocess.run(
+            [sys.executable, os.path.join(tree, "perfbench", "run.py"), "--workload", workload,
+             "--seed", str(seed), "--trace", "0"],
+            cwd=tree, capture_output=True, text=True, check=True)
+    except subprocess.CalledProcessError as exc:
+        tail = "\n".join(exc.stderr.splitlines()[-STDERR_TAIL:])
+        print(f"{side} run failed: workload {workload}, seed {seed}, exit {exc.returncode}; "
+              f"stderr tail:\n{tail}", file=sys.stderr, flush=True)
+        raise
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -159,7 +169,7 @@ def main(argv=None):
                 sides = [("parent", tree), ("change", ROOT)]
                 if i % 2:
                     sides.reverse()
-                res = {side: run_once(where, workload, seed) for side, where in sides}
+                res = {side: run_once(side, where, workload, seed) for side, where in sides}
                 runs.append((res["parent"], res["change"]))
                 print(f"{workload} seed {seed} ({sides[0][0]} first): " + "; ".join(
                     f"{side} correct={r['correct']} failed={r['failed']}/{r['attempted']} "

@@ -9,7 +9,9 @@ so identical (config, seed) runs produce byte-identical files.  The one
 exception is records.jsonl, whose per-trajectory wall-clock fields are
 measurements by nature.  A run samples all its trajectories as one batch,
 so every record of a run carries the same wall_clock: the batch's update
-and denoise seconds divided by the number of trajectories.
+and denoise seconds divided by the number of trajectories.  Every report
+is written under a temporary name and renamed over its target, so a failed
+command leaves no half-written file.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import sys
 
 import numpy as np
 
+from ..fileio import open_atomic
 from ..models import ScoreNet, save_checkpoint, train_dsm
 from ..verify import ALL_CHECKS, run_checks
 from .config import ConfigError, ExperimentConfig, load_config
@@ -55,13 +58,13 @@ def round9(obj):
 
 
 def write_json(path, obj):
-    with open(path, "w") as fh:
+    with open_atomic(path) as fh:
         json.dump(round9(obj), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def write_csv(path, header, rows):
-    with open(path, "w") as fh:
+    with open_atomic(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
@@ -117,7 +120,7 @@ def cmd_sample(args):
     cfg = _load_cfg(args)
     out = _outdir(cfg)
     records, report = run_experiment(cfg)
-    with open(os.path.join(out, "records.jsonl"), "w") as fh:
+    with open_atomic(os.path.join(out, "records.jsonl")) as fh:
         for rec in records:
             fh.write(json.dumps(round9(_record_to_dict(rec))) + "\n")
     write_json(os.path.join(out, "metrics.json"), report.to_dict())

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
 from .autodiff import Param
+from .fileio import open_atomic
 from .schedules import step_ddpm
 
 
@@ -436,15 +436,8 @@ def save_checkpoint(model, path):
         raise ModelError(f"cannot checkpoint {type(model).__name__}")
     # json.dumps takes the C encoder, which json.dump never does; same bytes
     text = json.dumps(doc)
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with open_atomic(path) as fh:
+        fh.write(text)
 
 
 def _checkpoint_size(doc, key, least):

@@ -129,12 +129,18 @@ def check_tweedie_exact(model, sched, probes=100, seed=0):
 
 # -- posterior sampling and the deviation bound -------------------------------
 
+def _mc_size(n_mc):
+    """n_mc as an int; a standard error (ddof=1) needs at least two samples."""
+    n_mc = int(n_mc)
+    if n_mc < 2:
+        raise VerificationError(f"n_mc must be >= 2 for a standard error, got {n_mc}")
+    return n_mc
+
+
 def estimate_m1(x_t, c, t, model, sched, n_mc, seed=0):
     """Monte-Carlo mean deviation E||x0 - tweedie_mean|| of the clean-data
     posterior reached by the stochastic reverse chain from (x_t, t)."""
-    n_mc = int(n_mc)
-    if n_mc < 1:
-        raise VerificationError("n_mc must be >= 1")
+    n_mc = _mc_size(n_mc)
     rng = np.random.default_rng(seed)
     x0 = ddpm_chain(model, sched, x_t, t, c, n_mc, rng)
     center = tweedie_mean(x_t, c, t, model, sched)
@@ -149,7 +155,7 @@ def check_jensen(x_t, c, t, model, sched, h, y, n_mc=10_000, seed=0):
     if not convex:
         raise VerificationError("Jensen check needs a convex evaluation function")
     rng = np.random.default_rng(seed)
-    x0 = ddpm_chain(model, sched, x_t, t, c, int(n_mc), rng)
+    x0 = ddpm_chain(model, sched, x_t, t, c, _mc_size(n_mc), rng)
     hs = h.value(x0, y)
     lhs = float(h.value(tweedie_mean(x_t, c, t, model, sched), y))
     rhs = float(np.mean(hs))
@@ -167,7 +173,7 @@ def check_approx_bound(x_t, c, t, model, sched, h, y, n_mc=10_000, seed=0):
     if getattr(h, "kind", None) != "cosine":
         raise VerificationError("the deviation bound applies to cosine alignment")
     rng = np.random.default_rng(seed)
-    x0 = ddpm_chain(model, sched, x_t, t, c, int(n_mc), rng)
+    x0 = ddpm_chain(model, sched, x_t, t, c, _mc_size(n_mc), rng)
     feats = x0 @ h.feature_map.T
     k_lower = float(np.min(np.linalg.norm(feats, axis=1)))
     if k_lower < 1e-8:
@@ -253,6 +259,47 @@ def check_thm2_order(x_t, c_org, t, model, sched, h, y,
 
 # -- the optimization chain ---------------------------------------------------
 
+_BLOCK_ROWS = 1024   # candidate sequences stepped together; bounds peak memory
+
+
+def _rollout_values(seqs, z0, step_noise, model, sched, h, y):
+    """Mean h(x0) over the rollouts, and its standard error, per sequence.
+
+    seqs has shape (S, T); column t-1 is the embedding applied at step t.
+    Every sequence starts from the rows of z0 and takes the same step noise,
+    so sequences sharing (c_T, ..., c_t) reach the same state after step t.
+    Rows are sorted by that prefix and walked in blocks; within a block each
+    level steps every distinct prefix once, from a contiguous copy of its
+    parent states, and the results are scattered back to the rows.
+    """
+    S, T = seqs.shape
+    n_rollouts = z0.shape[0]
+    order = np.lexsort(seqs.T)          # by c_T, then c_{T-1}, ...
+    means, ses = np.empty(S), np.empty(S)
+    for lo in range(0, S, _BLOCK_ROWS):
+        rows = order[lo:lo + _BLOCK_ROWS]
+        block = seqs[rows]
+        x = z0[None]                    # the one state before step T
+        parent = np.zeros(rows.size, dtype=np.intp)   # row -> state index
+        starts = np.zeros(rows.size, dtype=bool)      # row opens a new prefix
+        starts[0] = True
+        for t in range(T, 0, -1):
+            cs = block[:, t - 1]
+            starts[1:] |= cs[1:] != cs[:-1]
+            first = np.flatnonzero(starts)
+            x = x[parent[first]]
+            s = model.score(x, cs[first][:, None, None], t, sched)
+            # identical noise across candidate sequences: common random numbers
+            noise = (np.broadcast_to(step_noise[t - 1], x.shape)
+                     if t > 1 else np.zeros_like(x))
+            x = step_ddpm(x, s, t, noise, sched)
+            parent = np.cumsum(starts) - 1
+        hs = h.value(x, y)
+        means[rows] = np.mean(hs, axis=1)[parent]
+        ses[rows] = (np.std(hs, axis=1, ddof=1) / np.sqrt(n_rollouts))[parent]
+    return means, ses
+
+
 def check_prop1(task, sched, h, y, rho=0.5, n_grid=21, n_rollouts=512, seed=0):
     """Exhaustive-search evaluation of the optimization chain on a tiny task.
 
@@ -274,8 +321,12 @@ def check_prop1(task, sched, h, y, rho=0.5, n_grid=21, n_rollouts=512, seed=0):
     T = sched.T
     if T > 3:
         raise VerificationError("tiny instance expected (T <= 3)")
-    if n_grid % 2 == 0:
-        raise VerificationError("need an odd grid so the origin is a grid point")
+    if n_grid < 1 or n_grid % 2 == 0:
+        raise VerificationError(
+            f"n_grid must be odd and >= 1 so the origin is a grid point, got {n_grid}")
+    if n_rollouts < 2:
+        raise VerificationError(
+            f"n_rollouts must be >= 2 for a standard error, got {n_rollouts}")
     c_org = float(task.embedding(y)[0])
     half = (n_grid - 1) // 2
     if half == 0:
@@ -292,19 +343,7 @@ def check_prop1(task, sched, h, y, rho=0.5, n_grid=21, n_rollouts=512, seed=0):
     step_noise = rng.standard_normal((T, n_rollouts, d))
 
     def rollout_values(seqs):
-        """Mean h(x0) per sequence; seqs has shape (S, T) of embedding scalars."""
-        seqs = np.atleast_2d(seqs)
-        S = seqs.shape[0]
-        x = np.broadcast_to(z0, (S,) + z0.shape).copy()
-        for t in range(T, 0, -1):
-            cs = seqs[:, t - 1][:, None, None]     # (S, 1, e=1)
-            s = model.score(x, cs, t, sched)
-            # identical noise across candidate sequences: common random numbers
-            noise = (np.broadcast_to(step_noise[t - 1], x.shape)
-                     if t > 1 else np.zeros_like(x))
-            x = step_ddpm(x, s, t, noise, sched)
-        hs = h.value(x, y)
-        return np.mean(hs, axis=1), np.std(hs, axis=1, ddof=1) / np.sqrt(n_rollouts)
+        return _rollout_values(seqs, z0, step_noise, model, sched, h, y)
 
     v_fixed, se_fixed = rollout_values(np.full((1, T), c_org))
 
@@ -320,16 +359,12 @@ def check_prop1(task, sched, h, y, rho=0.5, n_grid=21, n_rollouts=512, seed=0):
         committed[stage - 1] = ball[best]
         v_con, se_con = float(vals[best]), float(ses[best])
 
-    # unconstrained program over the extended grid, in chunks
+    # unconstrained program over the extended grid; argmax takes the first
+    # maximum in the grid's ij order
     grids = np.meshgrid(*([ext] * T), indexing="ij")
-    all_seqs = np.stack([gr.reshape(-1) for gr in grids], axis=1)
-    v_unc, se_unc = -np.inf, 0.0
-    chunk = 1024
-    for lo in range(0, all_seqs.shape[0], chunk):
-        vals, ses = rollout_values(all_seqs[lo:lo + chunk])
-        best = int(np.argmax(vals))
-        if vals[best] > v_unc:
-            v_unc, se_unc = float(vals[best]), float(ses[best])
+    vals, ses = rollout_values(np.stack([gr.reshape(-1) for gr in grids], axis=1))
+    best = int(np.argmax(vals))
+    v_unc, se_unc = float(vals[best]), float(ses[best])
 
     return ChainReport(
         v_unconstrained=v_unc, v_constrained=v_con, v_fixed=float(v_fixed[0]),

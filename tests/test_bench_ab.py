@@ -3,6 +3,7 @@
 import argparse
 import importlib.util
 import os
+import subprocess
 
 import pytest
 
@@ -59,3 +60,15 @@ def test_workload_list_is_checked():
     assert bench_ab.parse_workloads("learned,adaptive") == ["learned", "adaptive"]
     with pytest.raises(argparse.ArgumentTypeError, match="unknown workload"):
         bench_ab.parse_workloads("learned,nope")
+
+
+def test_crashed_run_names_side_workload_seed_and_stderr(tmp_path, capsys):
+    run = tmp_path / "perfbench" / "run.py"
+    run.parent.mkdir()
+    run.write_text("import sys\nprint('workload verify failed at op 3', file=sys.stderr)\n"
+                   "sys.exit(1)\n")
+    with pytest.raises(subprocess.CalledProcessError):
+        bench_ab.run_once("parent", str(tmp_path), "verify", 38)
+    err = capsys.readouterr().err
+    assert "parent run failed: workload verify, seed 38, exit 1" in err
+    assert "workload verify failed at op 3" in err

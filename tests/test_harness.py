@@ -1,10 +1,11 @@
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
 
-from embedlab.harness.cli import cli_dispatch
+from embedlab.harness.cli import cli_dispatch, write_csv, write_json
 from embedlab.harness.config import (
     ConfigError,
     DateSpec,
@@ -405,6 +406,24 @@ class TestCli:
         assert code == 0
         assert capsys.readouterr().out.splitlines()[0] == "trained 0 steps"
         assert (tmp_path / "t" / "train_losses.csv").read_text() == "step,loss\n"
+
+    def test_failed_report_write_keeps_previous_report(self, tmp_path):
+        """An encode failing partway through a report leaves the earlier
+        report as it was and no temporary file."""
+        class Unprintable:
+            def __str__(self):
+                raise RuntimeError("boom")
+
+        json_path, csv_path = tmp_path / "r.json", tmp_path / "r.csv"
+        write_json(json_path, {"a": 1.0})
+        write_csv(csv_path, ["a", "b"], [(1.0, 2)])
+        before = {p: p.read_bytes() for p in (json_path, csv_path)}
+        with pytest.raises(TypeError):
+            write_json(json_path, {"a": 2.0, "b": object()})
+        with pytest.raises(RuntimeError, match="boom"):
+            write_csv(csv_path, ["a", "b"], [(2.0, 3), (Unprintable(), 4)])
+        assert {p: p.read_bytes() for p in before} == before
+        assert sorted(os.listdir(tmp_path)) == ["r.csv", "r.json"]
 
     def test_bad_config_exit_1(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

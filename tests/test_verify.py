@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from embedlab import verify as verify_mod
 from embedlab.alignment import LinearAlignment, QuadraticAlignment
 from embedlab.models import MixtureModel, default_task, tiny_task
-from embedlab.schedules import default_schedule, make_schedule
+from embedlab.schedules import default_schedule, make_schedule, step_ddpm
 from embedlab.verify import (
+    ChainReport,
     VerificationError,
     check_approx_bound,
     check_jensen,
@@ -191,6 +195,135 @@ class TestProp1:
         with pytest.raises(VerificationError):
             check_prop1(tt, sched3, h, 0, n_grid=20, n_rollouts=16, seed=0)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"n_grid": -1}, "n_grid .*got -1"),
+        ({"n_rollouts": 1}, "n_rollouts .*got 1"),
+    ])
+    def test_degenerate_sizes_rejected(self, tiny, kwargs, match):
+        tt, sched3 = tiny
+        h = QuadraticAlignment.for_task(tt, sign=-1.0)
+        args = {"n_grid": 3, "n_rollouts": 16, **kwargs}
+        with pytest.raises(VerificationError, match=match):
+            check_prop1(tt, sched3, h, 0, seed=0, **args)
+
+    @pytest.mark.parametrize("n_grid", [1, 3, 5, 7])
+    @pytest.mark.parametrize("h_kind", ["linear", "quadratic"])
+    @pytest.mark.parametrize("block_rows", [None, 7])
+    def test_bit_identical_to_flat_rollout(self, tiny, monkeypatch, n_grid, h_kind,
+                                           block_rows):
+        """The prefix-tree rollout reports exactly what stepping every
+        sequence through every step reports, also when blocks of 7 rows
+        split the prefix groups."""
+        tt, sched3 = tiny
+        h = (LinearAlignment(np.array([[0.8]])) if h_kind == "linear"
+             else QuadraticAlignment.for_task(tt, sign=-1.0))
+        if block_rows is not None:
+            monkeypatch.setattr(verify_mod, "_BLOCK_ROWS", block_rows)
+        for seed in (0, 1, 2):
+            got = check_prop1(tt, sched3, h, 0, rho=0.5, n_grid=n_grid,
+                              n_rollouts=32, seed=seed)
+            want = _flat_check_prop1(tt, sched3, h, 0, rho=0.5, n_grid=n_grid,
+                                     n_rollouts=32, seed=seed)
+            for f in dataclasses.fields(ChainReport):
+                assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+    @pytest.mark.parametrize("block_rows", [1024, 7, 1])
+    def test_rollout_of_arbitrary_sequences(self, tiny, monkeypatch, block_rows):
+        """Unsorted rows with repeats, and neighbours after sorting that
+        share c_t but not the steps before it, match the flat rollout."""
+        tt, sched3 = tiny
+        h = QuadraticAlignment.for_task(tt, sign=-1.0)
+        rng = np.random.default_rng(4)
+        seqs = rng.choice([-0.5, 0.0, 0.5], size=(60, 3))
+        z0 = rng.standard_normal((16, 1))
+        step_noise = rng.standard_normal((3, 16, 1))
+        monkeypatch.setattr(verify_mod, "_BLOCK_ROWS", block_rows)
+        got = verify_mod._rollout_values(seqs, z0, step_noise, tt.model, sched3, h, 0)
+        want = _flat_rollout_values(seqs, z0, step_noise, tt.model, sched3, h, 0)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_each_distinct_prefix_scored_once(self, tiny, monkeypatch):
+        tt, sched3 = tiny
+        h = QuadraticAlignment.for_task(tt, sign=-1.0)
+        shapes = []
+        score = MixtureModel.score
+
+        def counted(self, x, c, t, sched):
+            shapes.append(np.shape(x))
+            return score(self, x, c, t, sched)
+
+        monkeypatch.setattr(MixtureModel, "score", counted)
+        check_prop1(tt, sched3, h, 0, rho=0.5, n_grid=5, n_rollouts=64, seed=0)
+        assert all(shape[1:] == (64, 1) for shape in shapes)
+        # distinct (c_3, ..., c_t) prefixes at t = 3, 2, 1 for 5 ball points
+        # and 9 extended-grid points
+        fixed = 1 + 1 + 1
+        constrained = (5 + 5 + 5) + (1 + 5 + 5) + (1 + 1 + 5)
+        unconstrained = 9 + 81 + 729
+        assert sum(shape[0] for shape in shapes) == fixed + constrained + unconstrained
+
+
+def _flat_rollout_values(seqs, z0, step_noise, model, sched, h, y):
+    """Every sequence stepped through every step from its own copy of z0."""
+    S, T = seqs.shape
+    x = np.broadcast_to(z0, (S,) + z0.shape).copy()
+    for t in range(T, 0, -1):
+        s = model.score(x, seqs[:, t - 1][:, None, None], t, sched)
+        noise = (np.broadcast_to(step_noise[t - 1], x.shape)
+                 if t > 1 else np.zeros_like(x))
+        x = step_ddpm(x, s, t, noise, sched)
+    hs = h.value(x, y)
+    return np.mean(hs, axis=1), np.std(hs, axis=1, ddof=1) / np.sqrt(z0.shape[0])
+
+
+def _flat_check_prop1(task, sched, h, y, rho, n_grid, n_rollouts, seed):
+    """check_prop1 as it stepped every candidate sequence through every
+    step, in chunks of 1024 sequences: the oracle for the prefix tree."""
+    model = task.model
+    T = sched.T
+    c_org = float(task.embedding(y)[0])
+    half = (n_grid - 1) // 2
+    if half == 0:
+        ball = np.array([c_org])
+        ext = np.array([c_org])
+    else:
+        ball = c_org + rho * (np.arange(-half, half + 1) / half)
+        ext = np.unique(np.concatenate(
+            [ball, c_org + rho * (np.arange(-3 * half, 3 * half + 1, 2) / half)]))
+    rng = np.random.default_rng(seed)
+    d = model.data_dim
+    z0 = rng.standard_normal((n_rollouts, d))
+    step_noise = rng.standard_normal((T, n_rollouts, d))
+
+    def rollout_values(seqs):
+        return _flat_rollout_values(seqs, z0, step_noise, model, sched, h, y)
+
+    v_fixed, se_fixed = rollout_values(np.full((1, T), c_org))
+    committed = np.full(T, np.nan)
+    for stage in range(T, 0, -1):
+        cand = np.tile(ball[:, None], (1, T))
+        for tau in range(stage, T):
+            cand[:, tau] = committed[tau]
+        vals, ses = rollout_values(cand)
+        best = int(np.argmax(vals))
+        committed[stage - 1] = ball[best]
+        v_con, se_con = float(vals[best]), float(ses[best])
+    grids = np.meshgrid(*([ext] * T), indexing="ij")
+    all_seqs = np.stack([gr.reshape(-1) for gr in grids], axis=1)
+    v_unc, se_unc = -np.inf, 0.0
+    for lo in range(0, all_seqs.shape[0], 1024):
+        vals, ses = rollout_values(all_seqs[lo:lo + 1024])
+        best = int(np.argmax(vals))
+        if vals[best] > v_unc:
+            v_unc, se_unc = float(vals[best]), float(ses[best])
+    return ChainReport(
+        v_unconstrained=v_unc, v_constrained=v_con, v_fixed=float(v_fixed[0]),
+        se_unconstrained=se_unc, se_constrained=se_con, se_fixed=float(se_fixed[0]),
+        n_rollouts=n_rollouts,
+        grid={"ball_points": int(ball.size), "extended_points": int(ext.size),
+              "radius": float(rho), "origin": c_org},
+    )
+
 
 class TestJensen:
     def test_convex_quadratic_holds_with_margin(self, task, sched):
@@ -222,6 +355,12 @@ class TestJensen:
                            model, sched, h, 0, n_mc=4000, seed=1)
         assert abs(out["margin"]) <= 3 * out["se"]
 
+    def test_one_sample_rejected(self, task, sched):
+        h = QuadraticAlignment.for_task(task, sign=+1.0)
+        with pytest.raises(VerificationError, match="n_mc .*got 1"):
+            check_jensen(np.zeros(2), task.embedding(0), 50, task.model, sched,
+                         h, 0, n_mc=1, seed=0)
+
     def test_concave_rejected(self, task, sched):
         h = QuadraticAlignment.for_task(task, sign=-1.0)
         with pytest.raises(VerificationError):
@@ -236,6 +375,13 @@ class TestApproxBound:
         out = check_approx_bound(np.array([0.5, 0.1]), task.embedding(2), 55,
                                  task.model, sched, h, 2, n_mc=4000, seed=2)
         assert out["passed"]
+
+    def test_one_sample_rejected(self, task, sched):
+        from embedlab.alignment import CosineAlignment
+        h = CosineAlignment.for_task(task)
+        with pytest.raises(VerificationError, match="n_mc .*got 1"):
+            check_approx_bound(np.array([0.5, 0.1]), task.embedding(2), 55,
+                               task.model, sched, h, 2, n_mc=1, seed=0)
 
     def test_rescaling_preserves_structure(self, sched):
         """Scaling the data by lambda scales m1 and K the same way, so the
@@ -312,6 +458,12 @@ class TestM1:
         with pytest.raises(VerificationError):
             estimate_m1(np.zeros(2), task.embedding(0), 10, task.model, sched,
                         0, seed=0)
+
+    def test_one_sample_rejected(self, task, sched):
+        """One sample has no standard error (ddof=1 gives NaN)."""
+        with pytest.raises(VerificationError, match="n_mc .*got 1"):
+            estimate_m1(np.zeros(2), task.embedding(0), 10, task.model, sched,
+                        1, seed=0)
 
 
 class TestRunChecks:
