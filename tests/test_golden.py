@@ -8,8 +8,10 @@ with ``tests/golden/<case>/``.  ``records.jsonl`` is compared with its
 through its SHA-256.
 
 The fixtures were written by the per-trajectory sampler, before sampling
-was batched across trajectories.  A change of any number in them is a
-decision, made by regenerating them in a reviewed diff:
+was batched across trajectories; the ``verify_*`` fixtures, by the
+mixture kernels that reduced every axis with ``np.sum``/``np.max``.  A
+change of any number in them is a decision, made by regenerating them in
+a reviewed diff:
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -75,6 +77,14 @@ CASES = {
           "--out", "out"],
          ["sample", "--config", "CFG", "--out", "out"]]),
 }
+
+# the theory checks of perfbench's verify cycle, each alone at seed 0
+VERIFY_CHECKS = ("tweedie_exact_k1", "tweedie_exact_mixture", "taylor_order_default",
+                 "taylor_order_linear", "taylor_order_quadratic_k1", "score_expansion_default",
+                 "score_expansion_quadratic_k1", "m1_folded_normal")
+CASES.update({f"verify_{check}": ({}, [["verify", "--check", check, "--seed", "0",
+                                        "--out", "out"]])
+              for check in VERIFY_CHECKS})
 
 
 def _strip_wall_clock(raw):

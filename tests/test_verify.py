@@ -189,6 +189,25 @@ class TestProp1:
         # constrained stage-wise maximum cannot fall below the fixed value
         assert rep.v_constrained >= rep.v_fixed
 
+    def test_pinned_report_at_grid_5(self, tiny):
+        """perfbench's verify op at seed 0, field by field to the last bit;
+        a kernel that moves any bit of MixtureModel.score fails here."""
+        tt, sched3 = tiny
+        h = QuadraticAlignment.for_task(tt, sign=-1.0)
+        rep = check_prop1(tt, sched3, h, 0, rho=0.5, n_grid=5, n_rollouts=512, seed=0)
+        got = {f.name: repr(getattr(rep, f.name)) for f in dataclasses.fields(ChainReport)}
+        assert got == {
+            "v_unconstrained": "-0.02450129385808561",
+            "v_constrained": "-0.08998719541626003",
+            "v_fixed": "-0.6695670851179846",
+            "se_unconstrained": "0.0016339921568981376",
+            "se_constrained": "0.008026234421444579",
+            "se_fixed": "0.046834843560767954",
+            "n_rollouts": "512",
+            "grid": "{'ball_points': 5, 'extended_points': 9, 'radius': 0.5, 'origin': 0.5}",
+            "interpretation": "'right-to-left re-decision, all-equal-henceforth'",
+        }
+
     def test_even_grid_rejected(self, tiny):
         tt, sched3 = tiny
         h = QuadraticAlignment.for_task(tt, sign=-1.0)
