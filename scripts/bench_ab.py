@@ -2,7 +2,7 @@
 """Alternating parent/change benchmark runs on one or more workloads.
 
     python3 scripts/bench_ab.py --workload learned,adaptive,compare,verify \
-        --seeds 10-19 [--parent HEAD]
+        --seeds 10-19 [--parent HEAD] [--tier1 N] [--out BENCH_<n>.json]
 
 Exports the parent revision's files (``git archive``) into a temporary
 directory, then, workload by workload, for each seed runs
@@ -21,8 +21,13 @@ against the parent's, how many pairs the change won, and one verdict:
 * ``unresolved``: anything else, including "no visible change".
 
 A crashed run prints its side, workload, seed and stderr tail before the
-script stops; each pair's line is printed as soon as it has run.  The
-temporary copy is removed on exit.
+script stops; a run that finished but is not correct prints every
+``problem:`` line it gave, with its side, workload and seed.  Each pair's
+line is printed as soon as it has run.  ``--tier1 N`` also times the Tier-1
+test suite in both trees, N alternating pairs.  ``--out`` writes the
+revisions, the machine (from the runs' ``env`` line), the workloads and
+seeds, every pair's values, each metric's medians, quartiles and verdict,
+and the Tier-1 times to a JSON file.  The temporary copy is removed on exit.
 """
 
 from __future__ import annotations
@@ -35,10 +40,14 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("adaptive", "compare", "verify", "learned")
 STDERR_TAIL = 20   # lines of a crashed run's stderr to print
+MACHINE_KEYS = ("nproc", "cpu_model", "python", "numpy", "scipy", "blas", "blas_threads",
+                "blas_env")
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")
 
 
 def parse_seeds(spec):
@@ -59,8 +68,8 @@ def parse_workloads(spec):
     return names
 
 
-def git(*args, cwd=ROOT):
-    return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True,
+def git(*args):
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
 
 
@@ -73,8 +82,10 @@ def export_tree(rev, dest):
 
 
 def run_once(side, tree, workload, seed):
-    """One benchmark run in `tree`; returns its JSON result.  A crashed run
-    prints its side, workload, seed and the tail of its stderr, then raises."""
+    """One benchmark run in `tree`; returns its JSON result, with the run's
+    environment record under "env".  A crashed run prints its side,
+    workload, seed and the tail of its stderr, then raises; a run that is
+    not correct prints its problem lines."""
     try:
         proc = subprocess.run(
             [sys.executable, os.path.join(tree, "perfbench", "run.py"), "--workload", workload,
@@ -85,7 +96,27 @@ def run_once(side, tree, workload, seed):
         print(f"{side} run failed: workload {workload}, seed {seed}, exit {exc.returncode}; "
               f"stderr tail:\n{tail}", file=sys.stderr, flush=True)
         raise
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    result["env"] = next((json.loads(ln[len("env "):]) for ln in lines if ln.startswith("env ")),
+                         {})
+    if not result["correct"]:
+        problems = [ln[len("problem: "):] for ln in lines if ln.startswith("problem: ")]
+        for problem in problems or ["(no problem line printed)"]:
+            print(f"{side} run not correct: workload {workload}, seed {seed}: {problem}",
+                  file=sys.stderr, flush=True)
+    return result
+
+
+def tier1_once(tree):
+    """Wall seconds, exit code and summary line of the Tier-1 suite in `tree`."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, capture_output=True,
+                          text=True)
+    seconds = time.perf_counter() - t0
+    lines = proc.stdout.strip().splitlines()
+    return {"seconds": seconds, "exit": proc.returncode, "summary": lines[-1] if lines else ""}
 
 
 def quartiles(vals):
@@ -112,7 +143,7 @@ def failures(runs):
 
 
 def summarize(metrics, runs):
-    """Rows of the per-metric table; runs is a list of (parent, change)."""
+    """One dict per metric; runs is a list of (parent, change)."""
     (pf, pa), (cf, ca) = failures(runs)
     more_failures = cf * pa > pf * ca
     rows = []
@@ -124,23 +155,55 @@ def summarize(metrics, runs):
         wins = sum(sign * (c - p) > 0 for p, c in zip(pv, cv))
         pm, cm = statistics.median(pv), statistics.median(cv)
         (p1, p3), (c1, c3) = quartiles(pv), quartiles(cv)
-        rows.append((name, m["unit"], better, pm, p1, p3, cm, c1, c3, wins,
-                     verdict(better, m["bound"], pm, cm, p3 - p1, wins, len(runs),
-                             more_failures)))
+        rows.append({"name": name, "unit": m["unit"], "better": better,
+                     "parent_median": pm, "parent_quartiles": [p1, p3],
+                     "change_median": cm, "change_quartiles": [c1, c3], "wins": wins,
+                     "verdict": verdict(better, m["bound"], pm, cm, p3 - p1, wins, len(runs),
+                                        more_failures)})
     return rows
 
 
 def report(workload, rev, seeds, metrics, runs):
+    """Print the per-metric table; returns its rows."""
     print(f"\n{workload}, parent {rev[:12]} vs working tree, {len(runs)} pairs "
           f"(seeds {seeds}); median [quartiles]")
-    for (name, unit, better, pm, p1, p3, cm, c1, c3, wins, v) in summarize(metrics, runs):
-        print(f"{name:12s} {unit:4s} parent {pm:9.4g} [{p1:.4g}, {p3:.4g}]  change {cm:9.4g} "
-              f"[{c1:.4g}, {c3:.4g}]  ratio {cm / pm:6.3f}  {better} better: change won "
-              f"{wins}/{len(runs)}  parent IQR {p3 - p1:.4g}  {v}")
+    rows = summarize(metrics, runs)
+    for r in rows:
+        pm, (p1, p3), cm, (c1, c3) = (r["parent_median"], r["parent_quartiles"],
+                                      r["change_median"], r["change_quartiles"])
+        print(f"{r['name']:12s} {r['unit']:4s} parent {pm:9.4g} [{p1:.4g}, {p3:.4g}]  change "
+              f"{cm:9.4g} [{c1:.4g}, {c3:.4g}]  ratio {cm / pm:6.3f}  {r['better']} better: "
+              f"change won {r['wins']}/{len(runs)}  parent IQR {p3 - p1:.4g}  {r['verdict']}")
     bad = sum(not r["correct"] for pair in runs for r in pair)
     (pf, pa), (cf, ca) = failures(runs)
     print(f"runs not correct: {bad} of {2 * len(runs)}; failed ops: parent {pf}/{pa}, "
           f"change {cf}/{ca}", flush=True)
+    return rows
+
+
+def pair_record(seed, first, parent, change):
+    """One pair's values for the --out file."""
+    def side(r):
+        return {"correct": r["correct"], "failed": r["failed"], "attempted": r["attempted"],
+                **{k: v["value"] for k, v in r["metrics"].items()}}
+    return {"seed": seed, "first": first, "parent": side(parent), "change": side(change)}
+
+
+def time_tier1(tree, pairs):
+    """Alternating Tier-1 runs in the parent copy and the working tree."""
+    runs = []
+    for i in range(pairs):
+        sides = [("parent", tree), ("change", ROOT)]
+        if i % 2:
+            sides.reverse()
+        for side, where in sides:
+            runs.append(dict(tier1_once(where), side=side))
+            print(f"tier-1 {side}: {runs[-1]['seconds']:.1f} s, {runs[-1]['summary']}",
+                  flush=True)
+    medians = {side: statistics.median(r["seconds"] for r in runs if r["side"] == side)
+               for side in ("parent", "change")}
+    return {"command": "PYTHONPATH=src python " + " ".join(TIER1), "runs": runs,
+            "median_seconds": medians}
 
 
 def main(argv=None):
@@ -149,6 +212,10 @@ def main(argv=None):
                    help=f"one workload or a comma list of {', '.join(WORKLOADS)}")
     p.add_argument("--seeds", required=True, help="'10-19' or a comma list")
     p.add_argument("--parent", default="HEAD", help="parent revision (default HEAD)")
+    p.add_argument("--tier1", type=int, default=0, metavar="N",
+                   help="also time the Tier-1 suite, N alternating pairs (default 0)")
+    p.add_argument("--out", help="write every pair, summary and the Tier-1 times to this "
+                                 "JSON file (BENCH_<n>.json)")
     args = p.parse_args(argv)
     seeds = parse_seeds(args.seeds)
 
@@ -158,26 +225,40 @@ def main(argv=None):
     if git("diff", "--name-only", rev, "--", "perfbench", "BENCHMARK.json"):
         print("warning: the benchmark differs between the parent and the working tree",
               file=sys.stderr)
+    record = {"revisions": {"parent": rev, "change": git("rev-parse", "HEAD"),
+                            "change_uncommitted": bool(git("status", "--porcelain"))},
+              "machine": {}, "workloads": args.workload, "seeds": seeds, "results": {}}
 
     tmp = tempfile.mkdtemp(prefix="bench_ab-")
     tree = os.path.join(tmp, "parent")
     try:
         export_tree(rev, tree)
         for workload in args.workload:
-            runs = []
+            runs, pairs = [], []
             for i, seed in enumerate(seeds):
                 sides = [("parent", tree), ("change", ROOT)]
                 if i % 2:
                     sides.reverse()
                 res = {side: run_once(side, where, workload, seed) for side, where in sides}
                 runs.append((res["parent"], res["change"]))
+                pairs.append(pair_record(seed, sides[0][0], res["parent"], res["change"]))
+                record["machine"] = record["machine"] or {
+                    k: res["change"]["env"][k] for k in MACHINE_KEYS if k in res["change"]["env"]}
                 print(f"{workload} seed {seed} ({sides[0][0]} first): " + "; ".join(
                     f"{side} correct={r['correct']} failed={r['failed']}/{r['attempted']} "
                     f"ops_per_s={r['metrics']['ops_per_s']['value']:.4g}"
                     for side, r in res.items()), flush=True)
-            report(workload, rev, args.seeds, metrics, runs)
+            rows = report(workload, rev, args.seeds, metrics, runs)
+            record["results"][workload] = {"pairs": pairs, "metrics": rows}
+        if args.tier1:
+            record["tier1"] = time_tier1(tree, args.tier1)
     finally:
         shutil.rmtree(tmp)
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump(record, fh, indent=1)
+            fh.write("\n")
+        print(f"wrote {args.out}")
     return 0
 
 

@@ -38,9 +38,52 @@ class TrainingDiverged(RuntimeError):
         self.step = step
 
 
+# The mixture reduces over axes of 1-4 entries (K components, d data
+# dimensions, P prompts).  numpy's reduce over such an axis runs one short
+# inner loop per row (per index of the axes before it), so over many rows a
+# chain of elementwise ops on the axis's slices is several times faster,
+# while over few rows, and at axis 0, one reduce call costs less than the
+# chain's calls.  Both give np.sum's and np.max's bits: below _CHAIN_MAX
+# entries numpy adds an axis's slices one after another, starting from
+# +0.0; from it on it sums a contiguous last axis pairwise, so longer axes
+# always take the reduce.
+_CHAIN_MAX = 8
+_CHAIN_MIN_ROWS = 128   # where the chain overtook the reduce on (rows, 2) and (rows, K, d)
+
+
+def _chained(a, axis):
+    return a.shape[axis] < _CHAIN_MAX and math.prod(a.shape[:axis]) >= _CHAIN_MIN_ROWS
+
+
+def _at(axis, i):
+    """Index tuple selecting entry i of `axis` (i=None inserts a new axis)."""
+    if axis < 0:
+        return (Ellipsis, i) + (slice(None),) * (-1 - axis)
+    return (slice(None),) * axis + (i,)
+
+
+def _sum(a, axis):
+    """np.sum(a, axis) to the last bit, as a fresh array."""
+    if not _chained(a, axis):
+        return np.add.reduce(a, axis)
+    first, *rest = (a[_at(axis, i)] for i in range(a.shape[axis]))
+    out = first + 0.0      # numpy's sum starts from +0.0: -0.0 terms sum to +0.0
+    for part in rest:
+        out += part
+    return out
+
+
+def _max(a, axis):
+    """np.max(a, axis) to the last bit, as a fresh array."""
+    if not _chained(a, axis):
+        return np.maximum.reduce(a, axis)
+    first, *rest = (a[_at(axis, i)] for i in range(a.shape[axis]))
+    return reduce(np.maximum, rest, first) if rest else first.copy()
+
+
 def _logsumexp(a, axis=-1):
-    m = np.max(a, axis=axis, keepdims=True)
-    return np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(a - m), axis=axis))
+    m = _max(a, axis)
+    return m + np.log(_sum(np.exp(a - m[_at(axis, None)]), axis))
 
 
 def _responsibilities(comp):
@@ -51,7 +94,7 @@ def _score_from(comp, diff, variances):
     """sum_k r_k (mu_k - x) / var_k from a log joint; overwrites diff."""
     np.negative(diff, out=diff)
     diff /= variances
-    return np.sum(_responsibilities(comp)[..., None] * diff, axis=-2)
+    return _sum(_responsibilities(comp)[..., None] * diff, -2)
 
 
 @dataclass(frozen=True)
@@ -98,8 +141,8 @@ class MixtureModel:
 
     def weights(self, c):
         logits = np.einsum("ke,...e->...k", self.weight_logits, np.asarray(c, dtype=np.float64))
-        e = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
-        return e / np.sum(e, axis=-1, keepdims=True)
+        e = np.exp(logits - _max(logits, -1)[..., None])
+        return e / _sum(e, -1)[..., None]
 
     def component_means(self, c):
         """Clean-data component means M_k c + b_k, shape (..., K, d)."""
@@ -123,7 +166,7 @@ class MixtureModel:
         and c broadcast, so embeddings stacked on a new axis take one pass."""
         means, variances = self.perturbed_params(c, t, sched)
         diff = np.asarray(x, dtype=np.float64)[..., None, :] - means
-        logpdfs = -0.5 * np.sum(diff * diff / variances + np.log(2.0 * np.pi * variances), axis=-1)
+        logpdfs = -0.5 * _sum(diff * diff / variances + np.log(2.0 * np.pi * variances), -1)
         return self._log_weights(c) + logpdfs, diff, variances
 
     def log_likelihood(self, x, c, t, sched):
@@ -140,15 +183,15 @@ class MixtureModel:
         comp, diff, variances = self._log_joint(x, c, t, sched)
         mean_logit = np.exp(self._log_weights(c)) @ self.weight_logits
         pulls = np.sqrt(ab) * self.mean_maps.transpose(0, 2, 1) @ (diff / variances)[..., None]
-        return np.sum(_responsibilities(comp)[:, None]
-                      * (self.weight_logits - mean_logit + pulls[..., 0]), axis=0)
+        return _sum(_responsibilities(comp)[:, None]
+                    * (self.weight_logits - mean_logit + pulls[..., 0]), 0)
 
     def posterior_mean_x0(self, x_t, c, t, sched):
         """Responsibility-weighted posterior mean E[x0 | x_t, c], exact."""
         ab = sched.alpha_bar(t)
         comp, diff, variances = self._log_joint(x_t, c, t, sched)
         cond_means = self.component_means(c) + np.sqrt(ab) * self.covs / variances * diff
-        return np.sum(_responsibilities(comp)[..., None] * cond_means, axis=-2)
+        return _sum(_responsibilities(comp)[..., None] * cond_means, -2)
 
     def moments_x0(self, c):
         """Mean and covariance of the clean conditional p(x0 | c)."""
@@ -386,7 +429,7 @@ def unconditional_score(conditionals, priors, x, t, sched):
     grad_x log sum_y pi_y p(x|c_y) = sum_y p(y|x) grad_x log p(x|c_y).
     """
     log_post, joint = _prompt_posterior(conditionals, priors, x, t, sched)
-    return np.sum(np.exp(log_post)[..., None] * _score_from(*joint), axis=0)
+    return _sum(np.exp(log_post)[..., None] * _score_from(*joint), 0)
 
 
 def ddpm_chain(model, sched, x_t, t, c, n, rng):

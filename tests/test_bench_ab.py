@@ -2,6 +2,7 @@
 
 import argparse
 import importlib.util
+import json
 import os
 import subprocess
 
@@ -23,7 +24,7 @@ def _run(ops, p50, failed=0, attempted=100):
 
 
 def _verdicts(runs):
-    return {row[0]: row[-1] for row in bench_ab.summarize(METRICS, runs)}
+    return {row["name"]: row["verdict"] for row in bench_ab.summarize(METRICS, runs)}
 
 
 def test_gain_needs_nine_of_ten_wins_and_a_median_beyond_the_parent_iqr():
@@ -72,3 +73,65 @@ def test_crashed_run_names_side_workload_seed_and_stderr(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "parent run failed: workload verify, seed 38, exit 1" in err
     assert "workload verify failed at op 3" in err
+
+
+_STUB_RESULT = {"correct": False, "attempted": 8, "failed": 1,
+                "metrics": {"ops_per_s": {"value": 5.0, "unit": "1/s"},
+                            "op_p50_ms": {"value": 200.0, "unit": "ms"}}}
+
+
+def _stub_run_py(root, result, env=None):
+    """A perfbench/run.py under `root` that prints an env line, one problem
+    line when `result` is not correct, and `result` as its last line."""
+    run = root / "perfbench" / "run.py"
+    run.parent.mkdir(parents=True, exist_ok=True)
+    lines = [f"print('env ' + {json.dumps(json.dumps(env or {}))})"]
+    if not result["correct"]:
+        lines.append("print('problem: op verify[3] failed: verify ran [], failed "
+                     "[\\'m1_folded_normal\\']')")
+    lines.append(f"print({json.dumps(json.dumps(result))})")
+    run.write_text("\n".join(lines) + "\n")
+
+
+def test_run_not_correct_prints_its_problem_lines(tmp_path, capsys):
+    _stub_run_py(tmp_path, _STUB_RESULT)
+    res = bench_ab.run_once("change", str(tmp_path), "verify", 38)
+    assert res["correct"] is False and res["failed"] == 1
+    err = capsys.readouterr().err
+    assert ("change run not correct: workload verify, seed 38: op verify[3] failed: "
+            "verify ran [], failed ['m1_folded_normal']") in err
+
+
+def test_out_file_records_revisions_machine_pairs_and_tier1(tmp_path, monkeypatch, capsys):
+    repo = tmp_path / "repo"
+    env = {"nproc": 2, "python": "3.11.7", "numpy": "2.4.6", "blas": "scipy-openblas 0.3",
+           "blas_threads": {"libscipy_openblas.so": 1}, "caches": {"L1-Data": "48K"}}
+    _stub_run_py(repo, dict(_STUB_RESULT, correct=True, failed=0), env)
+    (repo / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(repo)]
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    subprocess.run(git + ["add", "-A"], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "stub"], check=True)
+    monkeypatch.setattr(bench_ab, "ROOT", str(repo))
+    monkeypatch.setattr(bench_ab, "TIER1", ("-c", "print('1 passed in 0.01s')"))
+    out = tmp_path / "BENCH_0.json"
+    assert bench_ab.main(["--workload", "verify", "--seeds", "3-4", "--tier1", "1",
+                          "--out", str(out)]) == 0
+    rec = json.loads(out.read_text())
+    head = subprocess.run(git + ["rev-parse", "HEAD"], check=True, capture_output=True,
+                          text=True).stdout.strip()
+    assert rec["revisions"] == {"parent": head, "change": head, "change_uncommitted": False}
+    assert rec["machine"] == {k: v for k, v in env.items() if k != "caches"}
+    assert rec["workloads"] == ["verify"] and rec["seeds"] == [3, 4]
+    pairs = rec["results"]["verify"]["pairs"]
+    assert [(p["seed"], p["first"]) for p in pairs] == [(3, "parent"), (4, "change")]
+    assert pairs[0]["change"] == {"correct": True, "failed": 0, "attempted": 8,
+                                  "ops_per_s": 5.0, "op_p50_ms": 200.0}
+    rows = rec["results"]["verify"]["metrics"]
+    assert [r["name"] for r in rows] == ["ops_per_s", "op_p50_ms"]
+    assert rows[0]["parent_median"] == rows[0]["change_median"] == 5.0
+    assert rows[0]["verdict"] == "unresolved"
+    tier1 = rec["tier1"]
+    assert sorted(r["side"] for r in tier1["runs"]) == ["change", "parent"]
+    assert all(r["exit"] == 0 and "1 passed" in r["summary"] for r in tier1["runs"])
+    assert set(tier1["median_seconds"]) == {"parent", "change"}

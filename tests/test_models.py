@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from embedlab import models as models_mod
 from embedlab.autodiff import Graph, evaluate, gradient, param_gradients
 from embedlab.graphs import classifier_graph, log_likelihood_graph
 from embedlab.models import (
@@ -135,6 +136,66 @@ class TestWeights:
             w = model.weights(c)
             assert float(np.sum(w)) == pytest.approx(1.0, abs=1e-12)
             np.testing.assert_allclose(w, shifted.weights(c), atol=1e-12)
+
+
+_SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310,
+                      -2.2e-308, 1e308, -1e308, 1.5])
+
+
+def _move_to(a, axis):
+    """(n, rows) -> an array whose `axis` (0, -1 or -2) has the n entries."""
+    if axis == 0:
+        return a
+    if axis == -1:
+        return a.T
+    return np.stack([a.T, -a.T], axis=-1)          # (rows, n, 2)
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got), np.signbit(want))
+            and np.array_equal(np.isnan(got), np.isnan(want)))
+
+
+class TestShortAxisReductions:
+    """models._sum/_max give np.sum/np.max bit for bit, on both the chained
+    path (many rows) and the reduce path (few rows, long axes, axis 0)."""
+
+    @staticmethod
+    def _check(a, axis):
+        with np.errstate(all="ignore"):
+            for mine, ref in ((models_mod._sum, np.sum), (models_mod._max, np.max)):
+                got = mine(a, axis)
+                assert _same_bits(got, ref(a, axis=axis)), (mine.__name__, a.shape, axis)
+                if a.shape[axis] == 1:
+                    assert not np.shares_memory(got, a)
+
+    @pytest.mark.parametrize("axis", [0, -1, -2])
+    @pytest.mark.parametrize("rows", [4, 300])
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_random_and_special_values(self, n, rows, axis):
+        rng = np.random.default_rng(n * 100 + rows)
+        draws = rng.standard_normal((n, rows)) * 10.0 ** rng.integers(-300, 300, (n, rows))
+        specials = rng.choice(_SPECIALS, (n, rows))
+        for base in (draws, specials):
+            a = np.ascontiguousarray(_move_to(base, axis))
+            if axis != 0:
+                chained = n < models_mod._CHAIN_MAX and rows >= models_mod._CHAIN_MIN_ROWS
+                assert models_mod._chained(a, axis) == chained
+            self._check(a, axis)
+            # strided views: every other row, and the reduced axis every other entry
+            wide = np.ascontiguousarray(_move_to(np.repeat(base, 2, axis=1), axis))
+            self._check(wide[::2] if axis != 0 else wide[:, ::2], axis)
+            spread = np.ascontiguousarray(_move_to(np.repeat(base, 2, axis=0), axis))
+            self._check(spread[(slice(None),) * (axis % spread.ndim) + (slice(None, None, 2),)],
+                        axis)
+
+    @pytest.mark.parametrize("axis", [0, -1, -2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_combination_of_special_values(self, n, axis):
+        combos = np.array(np.meshgrid(*[_SPECIALS] * n, indexing="ij")).reshape(n, -1)
+        self._check(np.ascontiguousarray(_move_to(combos, axis)), axis)
 
 
 def test_perturbed_marginal_consistency(task, sched):

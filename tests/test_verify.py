@@ -1,4 +1,6 @@
 import dataclasses
+import importlib.util
+import os
 
 import numpy as np
 import pytest
@@ -499,3 +501,19 @@ class TestRunChecks:
     def test_unknown_name_rejected(self):
         with pytest.raises(VerificationError):
             run_checks(seed=0, names=["nonexistent_check"])
+
+
+def test_false_alarm_script_counts_failures_and_z(capsys):
+    """scripts/false_alarms.py over two seeds, one of them a known false
+    alarm of m1_folded_normal (3.6 SE against a 3 SE tolerance)."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "scripts", "false_alarms.py")
+    spec = importlib.util.spec_from_file_location("false_alarms", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--checks", "m1_folded_normal", "--seeds", "0,1091049225"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == ("m1_folded_normal: 1/2 seeds failed (0.5000); "
+                      "failing seeds [1091049225]")
+    assert out[1].startswith("m1_folded_normal: z = (m1 - expected) / se: mean ")
+    assert out[1].endswith("|z| > 3 at 1 seeds")
