@@ -21,8 +21,8 @@ against the parent's, how many pairs the change won, and one verdict:
 * ``unresolved``: anything else, including "no visible change".
 
 A crashed run prints its side, workload, seed and stderr tail before the
-script stops; a run that finished but is not correct prints every
-``problem:`` line it gave, with its side, workload and seed.  Each pair's
+script stops; a run that finished but is not correct prints each distinct
+``problem:`` line it gave, with its count, side, workload and seed.  Each pair's
 line is printed as soon as it has run.  ``--tier1 N`` also times the Tier-1
 test suite in both trees, N alternating pairs.  ``--out`` writes the
 revisions, the machine (from the runs' ``env`` line), the workloads and
@@ -41,6 +41,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("adaptive", "compare", "verify", "learned")
@@ -101,10 +102,11 @@ def run_once(side, tree, workload, seed):
     result["env"] = next((json.loads(ln[len("env "):]) for ln in lines if ln.startswith("env ")),
                          {})
     if not result["correct"]:
-        problems = [ln[len("problem: "):] for ln in lines if ln.startswith("problem: ")]
-        for problem in problems or ["(no problem line printed)"]:
-            print(f"{side} run not correct: workload {workload}, seed {seed}: {problem}",
-                  file=sys.stderr, flush=True)
+        # a problem that recurs every cycle is printed once, with its count
+        problems = Counter(ln[len("problem: "):] for ln in lines if ln.startswith("problem: "))
+        for problem, n in (problems or {"(no problem line printed)": 1}).items():
+            print(f"{side} run not correct: workload {workload}, seed {seed}: {problem}"
+                  + (f" ({n} times)" if n > 1 else ""), file=sys.stderr, flush=True)
     return result
 
 

@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
-"""False-alarm rates of the Monte-Carlo theory checks over a range of seeds.
+"""False-alarm rates of the theory checks over a range of seeds.
 
     PYTHONPATH=src python3 scripts/false_alarms.py --seeds 0-399 \
         [--checks m1_folded_normal,jensen_convex]
 
-Runs ``run_checks(seed, [name])`` for every seed and check, exactly as
-``embedlab verify --check NAME --seed SEED`` does, and prints per check how
-many seeds failed out of how many ran, and which.  For ``m1_folded_normal``
-it also prints the mean and standard deviation of
-z = (m1 - expected) / se, which should be near 0 and 1 when the estimate is
-unbiased and its standard error right; its 3-SE tolerance then fails about
-0.27% of seeds.  Every check is deterministic given its seed, so a rate
+Runs ``run_checks(seed, [name])`` for every seed and check (by default the
+five Monte-Carlo ones), exactly as ``embedlab verify --check NAME --seed
+SEED`` does, and prints per check how many seeds failed out of how many
+ran, and which.  For ``m1_folded_normal`` it also prints the mean and
+standard deviation of z = (m1 - expected) / se, which should be near 0 and
+1 when the estimate is unbiased and its standard error right; its 3-SE
+tolerance then fails about 0.27% of seeds.  Every check is deterministic given its seed, so a rate
 reproduces exactly.
 """
 
@@ -20,18 +20,11 @@ import argparse
 import statistics
 import sys
 
+from bench_ab import parse_seeds
 from embedlab.verify import ALL_CHECKS, run_checks
 
 MONTE_CARLO = ("optimization_chain", "jensen_convex", "approx_bound", "m1_monotone",
                "m1_folded_normal")
-
-
-def parse_seeds(spec):
-    """'0-399' or '3,5,8' -> a list of ints."""
-    if "-" in spec:
-        lo, hi = spec.split("-")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in spec.split(",")]
 
 
 def parse_checks(spec):

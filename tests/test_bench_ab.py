@@ -81,25 +81,26 @@ _STUB_RESULT = {"correct": False, "attempted": 8, "failed": 1,
 
 
 def _stub_run_py(root, result, env=None):
-    """A perfbench/run.py under `root` that prints an env line, one problem
-    line when `result` is not correct, and `result` as its last line."""
+    """A perfbench/run.py under `root` that prints an env line, the same
+    problem line twice when `result` is not correct, and `result` as its
+    last line."""
     run = root / "perfbench" / "run.py"
     run.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"print('env ' + {json.dumps(json.dumps(env or {}))})"]
     if not result["correct"]:
-        lines.append("print('problem: op verify[3] failed: verify ran [], failed "
-                     "[\\'m1_folded_normal\\']')")
+        lines += 2 * ["print('problem: op verify[3] failed: verify ran [], failed "
+                      "[\\'m1_folded_normal\\']')"]
     lines.append(f"print({json.dumps(json.dumps(result))})")
     run.write_text("\n".join(lines) + "\n")
 
 
-def test_run_not_correct_prints_its_problem_lines(tmp_path, capsys):
+def test_run_not_correct_prints_each_problem_once_with_its_count(tmp_path, capsys):
     _stub_run_py(tmp_path, _STUB_RESULT)
     res = bench_ab.run_once("change", str(tmp_path), "verify", 38)
     assert res["correct"] is False and res["failed"] == 1
     err = capsys.readouterr().err
-    assert ("change run not correct: workload verify, seed 38: op verify[3] failed: "
-            "verify ran [], failed ['m1_folded_normal']") in err
+    assert err == ("change run not correct: workload verify, seed 38: op verify[3] failed: "
+                   "verify ran [], failed ['m1_folded_normal'] (2 times)\n")
 
 
 def test_out_file_records_revisions_machine_pairs_and_tier1(tmp_path, monkeypatch, capsys):

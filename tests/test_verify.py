@@ -503,12 +503,14 @@ class TestRunChecks:
             run_checks(seed=0, names=["nonexistent_check"])
 
 
-def test_false_alarm_script_counts_failures_and_z(capsys):
+def test_false_alarm_script_counts_failures_and_z(capsys, monkeypatch):
     """scripts/false_alarms.py over two seeds, one of them a known false
     alarm of m1_folded_normal (3.6 SE against a 3 SE tolerance)."""
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "scripts", "false_alarms.py")
-    spec = importlib.util.spec_from_file_location("false_alarms", path)
+    scripts = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "scripts")
+    monkeypatch.syspath_prepend(scripts)
+    spec = importlib.util.spec_from_file_location("false_alarms",
+                                                  os.path.join(scripts, "false_alarms.py"))
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     assert script.main(["--checks", "m1_folded_normal", "--seeds", "0,1091049225"]) == 0
