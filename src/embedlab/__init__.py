@@ -17,12 +17,11 @@ from .schedules import (
     step_ddpm,
     tweedie_mean,
 )
-from .autodiff import Graph, GraphError, Param, evaluate, gradient, grad_check
+from .autodiff import Graph, GraphError, Param, evaluate, gradient
 from .models import (
     DeskTask,
     MixtureModel,
     ScoreNet,
-    classifier_log_prob,
     ddpm_chain,
     default_task,
     load_checkpoint,
@@ -37,8 +36,6 @@ from .alignment import (
     CosineAlignment,
     LinearAlignment,
     QuadraticAlignment,
-    composite,
-    eval_h,
     eval_h_t,
     lipschitz_bound,
 )

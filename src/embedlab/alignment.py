@@ -7,9 +7,9 @@ composites are weighted sums.  Every kind exposes:
 
 * ``value(x0, y)``      - scalar, batched over leading axes of x0, each
                           row exactly as it is alone,
-* ``grad_x(x0, y)``     - closed-form gradient in data space,
-* ``emit(g, node, y)``  - tape emission so gradients can flow through the
-                          score model and the Tweedie map.
+* ``emit(g, node, y)``  - tape emission; a reverse sweep gives the gradient
+                          in data space, or through the score model and the
+                          Tweedie map when ``node`` is their output.
 
 The time-lifted h_t is literally h composed with the Tweedie mean.
 """
@@ -53,16 +53,6 @@ class CosineAlignment:
             raise AlignmentError("zero feature vector in cosine alignment")
         return np.vecdot(feats, p) / (nf * np.linalg.norm(p))
 
-    def grad_x(self, x0, y):
-        u = self.feature_map @ np.asarray(x0, dtype=np.float64)
-        p = self.prototypes[int(y)]
-        nu, npr = np.linalg.norm(u), np.linalg.norm(p)
-        if nu == 0.0:
-            raise AlignmentError("zero feature vector in cosine alignment")
-        g = u @ p / (nu * npr)
-        grad_u = p / (nu * npr) - g * u / (nu * nu)
-        return self.feature_map.T @ grad_u
-
     def emit(self, g, x0_ref, y):
         feats = g.affine(x0_ref, self.feature_map)
         proto = g.constant(self.prototypes[int(y)])
@@ -103,9 +93,6 @@ class QuadraticAlignment:
         d = np.asarray(x0, dtype=np.float64) - self.targets[int(y)]
         return self.sign * np.sum(d * d, axis=-1)
 
-    def grad_x(self, x0, y):
-        return 2.0 * self.sign * (np.asarray(x0, dtype=np.float64) - self.targets[int(y)])
-
     def emit(self, g, x0_ref, y):
         d = g.sub(x0_ref, g.constant(self.targets[int(y)]))
         return g.scale(g.dot(d, d), self.sign)
@@ -132,16 +119,12 @@ class LinearAlignment:
     def value(self, x0, y):
         return np.asarray(x0, dtype=np.float64) @ self.vectors[int(y)]
 
-    def grad_x(self, x0, y):
-        x0 = np.asarray(x0, dtype=np.float64)
-        return np.broadcast_to(self.vectors[int(y)], x0.shape).copy()
-
     def emit(self, g, x0_ref, y):
         return g.dot(x0_ref, g.constant(self.vectors[int(y)]))
 
 
 class CompositeAlignment:
-    """Weighted sum of evaluation functions; gradients add with the weights."""
+    """Weighted sum of evaluation functions."""
 
     kind = "composite"
 
@@ -155,24 +138,12 @@ class CompositeAlignment:
     def value(self, x0, y):
         return sum(w * h.value(x0, y) for h, w in self.parts)
 
-    def grad_x(self, x0, y):
-        return sum(w * h.grad_x(x0, y) for h, w in self.parts)
-
     def emit(self, g, x0_ref, y):
         out = None
         for h, w in self.parts:
             term = g.scale(h.emit(g, x0_ref, y), w)
             out = term if out is None else g.add(out, term)
         return out
-
-
-def composite(parts):
-    return CompositeAlignment(parts)
-
-
-def eval_h(h, x0, y):
-    """Data-space alignment score h(x0; y)."""
-    return h.value(x0, y)
 
 
 def eval_h_t(h, x_t, c, t, model, sched, y):

@@ -6,20 +6,18 @@ reverse sweep yields exact gradients of a scalar output with respect to any
 named input (and, for affine nodes backed by :class:`Param`, with respect to
 trainable weights).
 
-The primitive set is deliberately small: affine map, elementwise tanh and
-SiLU, softmax, log-sum-exp, dot product, L2 norm, cosine similarity,
-quadratic form, and diagonal Gaussian log-density, plus the arithmetic and
-packing operations needed to compose them.  Everything the lab
-differentiates is expressed in these terms.
+The primitive set is deliberately small: affine map, elementwise SiLU,
+softmax, log-sum-exp, dot product, cosine similarity and diagonal Gaussian
+log-density, plus the arithmetic and packing operations needed to compose
+them.  Everything the lab differentiates is expressed in these terms.
 
 Every node has a row rank fixed when it is built: 1 for a vector, 0 for a
 scalar.  Placeholders are vectors.  A binding may carry leading batch axes
 in front of its row, and then every node carries the same axes and treats
 each row on its own:
 
-* ``affine`` and the reductions (``dot``, ``norm``, ``cosine``, ``softmax``,
-  ``logsumexp``, ``quadform``, ``gauss_logpdf``, ``vsum``) act on the last
-  axis;
+* ``affine`` and the reductions (``dot``, ``cosine``, ``softmax``,
+  ``logsumexp``, ``gauss_logpdf``) act on the last axis;
 * ``pick``, ``pack`` and ``concat`` index, stack and join on the last axis;
 * a gradient needs an output that is scalar per row, and seeds every row
   with 1.
@@ -78,12 +76,10 @@ def _as_array(v):
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp of -|x| never overflows; each branch gives the bits of the usual
+    # 1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _col(s):
@@ -101,11 +97,10 @@ def _norm(a):
 # result.  add, sub and mul need equal ranks; smul a scalar first argument.
 _RANKS = {
     "add": (None, None), "sub": (None, None), "mul": (None, None),
-    "neg": (None, None), "scale": (None, None), "tanh": (None, None),
-    "silu": (None, None), "smul": (None, None),
+    "scale": (None, None), "silu": (None, None), "smul": (None, None),
     "affine": (1, 1), "softmax": (1, 1), "logsumexp": (1, 0), "dot": (1, 0),
-    "norm": (1, 0), "cosine": (1, 0), "quadform": (1, 0), "gauss_logpdf": (1, 0),
-    "vsum": (1, 0), "pick": (1, 0), "pack": (0, 1), "concat": (None, 1),
+    "cosine": (1, 0), "gauss_logpdf": (1, 0), "pick": (1, 0), "pack": (0, 1),
+    "concat": (None, 1),
 }
 
 
@@ -174,9 +169,6 @@ class Graph:
     def sub(self, a, b):
         return self._append("sub", (a, b))
 
-    def neg(self, a):
-        return self._append("neg", (a,))
-
     def scale(self, a, k):
         """Multiply a node by a fixed scalar constant k."""
         return self._append("scale", (a,), {"k": float(k)})
@@ -193,9 +185,6 @@ class Graph:
         """weight @ x + bias; weight/bias may be ndarrays or Params."""
         return self._append("affine", (x,), {"W": weight, "b": bias})
 
-    def tanh(self, a):
-        return self._append("tanh", (a,))
-
     def silu(self, a):
         return self._append("silu", (a,))
 
@@ -208,15 +197,8 @@ class Graph:
     def dot(self, a, b):
         return self._append("dot", (a, b))
 
-    def norm(self, a):
-        return self._append("norm", (a,))
-
     def cosine(self, a, b):
         return self._append("cosine", (a, b))
-
-    def quadform(self, x, matrix):
-        """x^T A x with a fixed matrix A."""
-        return self._append("quadform", (x,), {"A": _as_array(matrix)})
 
     def gauss_logpdf(self, x, mu, var):
         """Log-density of N(mu, diag(var)) at x; var is a fixed vector."""
@@ -238,10 +220,6 @@ class Graph:
         # a part that does not exist is skipped here and reported by _append
         ranks = tuple(self.nodes[a].rank for a in parts if 0 <= a < len(self.nodes))
         return self._append("concat", parts, {"ranks": ranks})
-
-    def vsum(self, a):
-        """Sum of the components of a vector node."""
-        return self._append("vsum", (a,))
 
     def mark_output(self, nid):
         if not (0 <= nid < len(self.nodes)):
@@ -300,24 +278,19 @@ def _f_concat(node, *vs):
 _FORWARD = {
     "add": lambda node, a, b: a + b,
     "sub": lambda node, a, b: a - b,
-    "neg": lambda node, a: -a,
     "scale": lambda node, a: node.payload["k"] * a,
     "mul": lambda node, a, b: a * b,
     "smul": lambda node, s, v: (_col(s) if node.rank else s) * v,
     "affine": _f_affine,
-    "tanh": lambda node, a: np.tanh(a),
     "silu": lambda node, a: a * _sigmoid(a),
     "softmax": _f_softmax,
     "logsumexp": _f_logsumexp,
     "dot": lambda node, a, b: np.vecdot(a, b),
-    "norm": lambda node, a: _norm(a),
     "cosine": lambda node, a, b: np.vecdot(a, b) / (_norm(a) * _norm(b)),
-    "quadform": lambda node, x: np.vecdot(np.matmul(x[..., None, :], node.payload["A"])[..., 0, :], x),
     "gauss_logpdf": _f_gauss_logpdf,
     "pack": _f_pack,
     "pick": lambda node, v: v[..., node.payload["i"]],
     "concat": _f_concat,
-    "vsum": lambda node, a: np.add.reduce(a, axis=-1),
 }
 
 
@@ -421,25 +394,19 @@ def _b_concat(node, g, y, *vs):
 _BACKWARD = {
     "add": lambda node, g, y, a, b: (g, g),
     "sub": lambda node, g, y, a, b: (g, -g),
-    "neg": lambda node, g, y, a: (-g,),
     "scale": lambda node, g, y, a: (node.payload["k"] * g,),
     "mul": lambda node, g, y, a, b: (g * b, g * a),
     "smul": _b_smul,
     "affine": _b_affine,
-    "tanh": lambda node, g, y, a: (g * (1.0 - y * y),),
     "silu": _b_silu,
     "softmax": lambda node, g, y, a: (y * (g - _col(np.vecdot(g, y))),),
     "logsumexp": lambda node, g, y, x: (_col(g) * np.exp(x - _col(y)),),
     "dot": lambda node, g, y, a, b: (_col(g) * b, _col(g) * a),
-    "norm": lambda node, g, y, x: (_col(g) * x / _col(y),),
     "cosine": _b_cosine,
-    "quadform": lambda node, g, y, x: (
-        _col(g) * _affine(node.payload["A"] + node.payload["A"].T, x),),
     "gauss_logpdf": _b_gauss_logpdf,
     "pack": lambda node, g, y, *vs: [g[..., k] for k in range(len(vs))],
     "pick": _b_pick,
     "concat": _b_concat,
-    "vsum": lambda node, g, y, a: (_col(g) * np.ones_like(a),),
 }
 
 
@@ -470,8 +437,6 @@ def _backward(graph, accumulate_params=False):
         node = nodes[i]
         if g is None or node.op in ("input", "const"):
             continue
-        if node.op == "norm" and np.any(vals[i] == 0.0):
-            raise GraphError(f"norm gradient undefined at zero (node {i})")
         args = node.args
         grads = _BACKWARD[node.op](node, g, vals[i], *[vals[a] for a in args])
         for a, ga in zip(args, grads):
@@ -524,44 +489,3 @@ def finite_diff_grad(f, x, step=1e-6, order=2):
             raise ValueError("order must be 2 or 4")
     return g
 
-
-def grad_check(graph, wrt, probe_count=20, step=1e-6):
-    """Max relative error between the tape gradient and central differences.
-
-    Probes random coordinates of the bound input `wrt` (deterministically
-    seeded).  Relative error uses |fd| + 1e-12 in the denominator so exact
-    zeros compare cleanly.
-    """
-    if graph.values is None:
-        raise GraphError("run evaluate() before grad_check")
-    base = {name: np.array(graph.values[nid], copy=True)
-            for name, nid in graph.input_ids.items()}
-    x = base[wrt]
-    auto = gradient(graph, wrt)
-
-    rng = np.random.default_rng(0)
-    dim = x.size
-    if probe_count >= dim:
-        idxs = np.arange(dim)
-    else:
-        idxs = rng.choice(dim, size=probe_count, replace=False)
-
-    worst = 0.0
-    flat = x.reshape(-1)
-    for i in idxs:
-        hi = flat.copy()
-        lo = flat.copy()
-        hi[i] += step
-        lo[i] -= step
-        b_hi = dict(base)
-        b_lo = dict(base)
-        b_hi[wrt] = hi.reshape(x.shape)
-        b_lo[wrt] = lo.reshape(x.shape)
-        f_hi = float(evaluate(graph, b_hi))
-        f_lo = float(evaluate(graph, b_lo))
-        fd = (f_hi - f_lo) / (2.0 * step)
-        err = abs(float(auto.reshape(-1)[i]) - fd) / (abs(fd) + 1e-12)
-        worst = max(worst, err)
-    # restore the original forward cache
-    evaluate(graph, base)
-    return worst

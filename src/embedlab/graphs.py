@@ -50,15 +50,6 @@ def perturbed_h_graph(h, y):
     return g
 
 
-def log_likelihood_graph(model, t, sched):
-    """Graph for log p_t(x | c) with both x and c as inputs."""
-    g = Graph()
-    x_ref = g.placeholder("x")
-    c_ref = g.placeholder("c")
-    g.mark_output(model.emit_log_likelihood(g, x_ref, c_ref, t, sched))
-    return g
-
-
 def classifier_graph(conditionals, priors, y, t, sched):
     """Graph for log p(y | x) under the Bayes classifier over prompts.
 

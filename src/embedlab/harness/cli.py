@@ -236,7 +236,8 @@ def cmd_verify(args):
         detail = {k: v for k, v in res.items() if k != "passed" and not isinstance(v, (list, dict))}
         pretty = " ".join(f"{k}={_fmt(v) if isinstance(v, float) else v}"
                           for k, v in detail.items())
-        print(f"{'PASS' if ok else 'FAIL'} {name} {pretty}")
+        # FAIL lines go to stderr, so a caller that keeps only errors sees them
+        print(f"{'PASS' if ok else 'FAIL'} {name} {pretty}", file=sys.stdout if ok else sys.stderr)
     print(f"report: {os.path.join(outdir, 'verify.json')}")
     return 0 if all_ok else 1
 

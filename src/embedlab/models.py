@@ -407,28 +407,18 @@ def prompt_stack(conditionals, priors):
     return model, np.stack([np.asarray(c, dtype=np.float64) for _, c in conditionals]), priors
 
 
-def _prompt_posterior(conditionals, priors, x, t, sched):
-    """log p(y | x) for every prompt y, shape (P, ...), from one pass with the
-    embeddings stacked as (P, 1, ..., e) against x of shape (..., d); also
-    that pass's log joint, x - mu_k and variances."""
+def unconditional_score(conditionals, priors, x, t, sched):
+    """Score of the prior-weighted mixture over prompts.
+
+    grad_x log sum_y pi_y p(x|c_y) = sum_y p(y|x) grad_x log p(x|c_y),
+    from one pass with the embeddings stacked as (P, 1, ..., e) against x of
+    shape (..., d).
+    """
     model, cs, priors = prompt_stack(conditionals, priors)
     lift = (len(cs),) + (1,) * (np.ndim(x) - 1)
     joint = model._log_joint(x, cs.reshape(lift + cs.shape[-1:]), t, sched)
     lp = _logsumexp(joint[0]) + np.log(priors).reshape(lift)
-    return lp - _logsumexp(lp, axis=0), joint
-
-
-def classifier_log_prob(conditionals, priors, x_t, t, sched):
-    """Bayes posterior log p(y | x_t) over a list of (model, embedding) pairs."""
-    return _prompt_posterior(conditionals, priors, x_t, t, sched)[0]
-
-
-def unconditional_score(conditionals, priors, x, t, sched):
-    """Score of the prior-weighted mixture over prompts.
-
-    grad_x log sum_y pi_y p(x|c_y) = sum_y p(y|x) grad_x log p(x|c_y).
-    """
-    log_post, joint = _prompt_posterior(conditionals, priors, x, t, sched)
+    log_post = lp - _logsumexp(lp, axis=0)
     return _sum(np.exp(log_post)[..., None] * _score_from(*joint), 0)
 
 

@@ -10,12 +10,10 @@ from embedlab.alignment import (
     CosineAlignment,
     LinearAlignment,
     QuadraticAlignment,
-    composite,
-    eval_h,
     eval_h_t,
     lipschitz_bound,
 )
-from embedlab.autodiff import Graph, evaluate, finite_diff_grad, gradient
+from embedlab.autodiff import Graph, GraphError, evaluate, finite_diff_grad, gradient
 from embedlab.models import default_task
 from embedlab.schedules import NoiseSchedule, default_schedule, tweedie_mean
 
@@ -35,38 +33,45 @@ def cos_h(task):
     return CosineAlignment.for_task(task)
 
 
+def tape_value_and_grad(h, x0, y=0):
+    """h(x0; y) and its x-gradient from one tape emission of h."""
+    g = Graph()
+    g.mark_output(h.emit(g, g.placeholder("x"), y))
+    return float(evaluate(g, {"x": x0})), gradient(g, "x")
+
+
 class TestEvalH:
     def test_cosine_parallel_features(self):
         F = np.eye(2)
         h = CosineAlignment(F, np.array([[3.0, 0.0]]))
-        assert float(eval_h(h, np.array([5.0, 0.0]), 0)) == pytest.approx(1.0, abs=1e-15)
+        assert float(h.value(np.array([5.0, 0.0]), 0)) == pytest.approx(1.0, abs=1e-15)
 
     def test_cosine_rejects_zero_features(self):
         h = CosineAlignment(np.eye(2), np.array([[1.0, 0.0]]))
         with pytest.raises(AlignmentError):
-            eval_h(h, np.zeros(2), 0)
-        with pytest.raises(AlignmentError):
-            h.grad_x(np.zeros(2), 0)
+            h.value(np.zeros(2), 0)
+        with np.errstate(invalid="ignore"), pytest.raises(GraphError, match="non-finite"):
+            tape_value_and_grad(h, np.zeros(2))
 
     def test_quadratic_concave_peaks_at_target(self):
         h = QuadraticAlignment(np.array([[0.4, -0.2]]), sign=-1.0)
-        assert float(eval_h(h, np.array([0.4, -0.2]), 0)) == 0.0
-        assert float(eval_h(h, np.array([1.0, 1.0]), 0)) < 0.0
+        assert float(h.value(np.array([0.4, -0.2]), 0)) == 0.0
+        assert float(h.value(np.array([1.0, 1.0]), 0)) < 0.0
 
     def test_composite_degenerate_weights(self, cos_h):
         quad = QuadraticAlignment(np.zeros((1, 2)), sign=-1.0)
-        comp = composite([(cos_h, 1.0), (quad, 0.0)])
+        comp = CompositeAlignment([(cos_h, 1.0), (quad, 0.0)])
         x = np.array([0.3, 0.7])
         assert float(comp.value(x, 0)) == float(cos_h.value(x, 0))
 
     def test_composite_self_average(self, cos_h):
-        comp = composite([(cos_h, 0.5), (cos_h, 0.5)])
+        comp = CompositeAlignment([(cos_h, 0.5), (cos_h, 0.5)])
         x = np.array([-0.2, 1.1])
         assert float(comp.value(x, 0)) == pytest.approx(float(cos_h.value(x, 0)), rel=1e-15)
 
     def test_composite_rejects_empty(self):
         with pytest.raises(AlignmentError):
-            composite([])
+            CompositeAlignment([])
 
 
 class TestEvalHt:
@@ -74,7 +79,7 @@ class TestEvalHt:
         sched1 = NoiseSchedule(betas=np.array([1e-14]))
         x = np.array([0.8, -0.3])
         out = eval_h_t(cos_h, x, task.embedding(0), 1, task.model, sched1, 0)
-        assert float(out) == pytest.approx(float(eval_h(cos_h, x, 0)), abs=1e-9)
+        assert float(out) == pytest.approx(float(cos_h.value(x, 0)), abs=1e-9)
 
     def test_single_gaussian_independent_of_x(self, sched):
         """Exact posterior mean of one near-point component ignores x_t."""
@@ -96,41 +101,34 @@ class TestEvalHt:
         x = rng.standard_normal(2)
         c = task.embedding(2)
         direct = eval_h_t(cos_h, x, c, 37, task.model, sched, 2)
-        composed = eval_h(cos_h, tweedie_mean(x, c, 37, task.model, sched), 2)
+        composed = cos_h.value(tweedie_mean(x, c, 37, task.model, sched), 2)
         assert float(direct) == float(composed)
 
 
 class TestGradients:
-    def test_closed_form_grads_match_finite_differences(self, cos_h):
-        rng = np.random.default_rng(4)
-        quad = QuadraticAlignment(rng.standard_normal((1, 2)), sign=+1.0)
-        comp = CompositeAlignment([(cos_h, 0.7), (quad, 0.3)])
-        for h in (cos_h, quad, comp):
-            x = rng.standard_normal(2) + 0.1
-            fd = finite_diff_grad(lambda v: float(h.value(v, 0)), x, 1e-6)
-            err = np.linalg.norm(h.grad_x(x, 0) - fd) / (np.linalg.norm(fd) + 1e-12)
-            assert err < 1e-6
-
     def test_composite_gradient_is_weighted_sum(self, cos_h):
         quad = QuadraticAlignment(np.array([[0.2, -0.1]]), sign=-1.0)
         comp = CompositeAlignment([(cos_h, 0.6), (quad, 0.4)])
         x = np.array([0.5, 0.9])
-        expected = 0.6 * cos_h.grad_x(x, 0) + 0.4 * quad.grad_x(x, 0)
-        np.testing.assert_allclose(comp.grad_x(x, 0), expected, atol=1e-10)
+        expected = (0.6 * tape_value_and_grad(cos_h, x)[1]
+                    + 0.4 * tape_value_and_grad(quad, x)[1])
+        np.testing.assert_allclose(tape_value_and_grad(comp, x)[1], expected, atol=1e-10)
 
     def test_tape_emission_matches_values_and_grads(self, cos_h):
+        """The emitted graph gives h.value, and its reverse sweep the
+        central-difference gradient of h.value, for every kind."""
         rng = np.random.default_rng(6)
         quad = QuadraticAlignment(rng.standard_normal((1, 2)), sign=-1.0)
+        convex = QuadraticAlignment(rng.standard_normal((1, 2)), sign=+1.0)
         lin = LinearAlignment(rng.standard_normal((1, 2)))
-        comp = CompositeAlignment([(cos_h, 0.5), (quad, 1.5)])
-        for h in (cos_h, quad, lin, comp):
-            g = Graph()
-            x = g.placeholder("x")
-            g.mark_output(h.emit(g, x, 0))
+        comp = CompositeAlignment([(cos_h, 0.5), (quad, 1.5), (convex, 0.3)])
+        for h in (cos_h, quad, convex, lin, comp):
             x0 = rng.standard_normal(2) + 0.2
-            val = evaluate(g, {"x": x0})
-            assert float(val) == pytest.approx(float(h.value(x0, 0)), rel=1e-12)
-            np.testing.assert_allclose(gradient(g, "x"), h.grad_x(x0, 0), atol=1e-12)
+            val, grad = tape_value_and_grad(h, x0)
+            assert val == pytest.approx(float(h.value(x0, 0)), rel=1e-12)
+            fd = finite_diff_grad(lambda v: float(h.value(v, 0)), x0, 1e-6)
+            err = np.linalg.norm(grad - fd) / (np.linalg.norm(fd) + 1e-12)
+            assert err < 1e-6, (h.kind, err)
 
 
 class TestScaleInvariance:

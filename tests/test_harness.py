@@ -345,6 +345,18 @@ class TestCli:
             assert code == 0
         assert (a / "verify.json").read_bytes() == (b / "verify.json").read_bytes()
 
+    def test_verify_fail_line_goes_to_stderr(self, tmp_path, capsys, monkeypatch):
+        """A caller that keeps only stderr learns which check failed and why."""
+        import embedlab.harness.cli as cli_mod
+        monkeypatch.setattr(cli_mod, "run_checks", lambda seed, names: {
+            "good": {"passed": True, "slope": 2.0},
+            "bad": {"passed": False, "slope": 2.8, "r2": 0.5}})
+        assert cli_dispatch(["verify", "--out", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert err.splitlines() == ["FAIL bad slope=2.8 r2=0.5"]
+        assert "PASS good slope=2" in out.splitlines()
+        assert "FAIL" not in out
+
     def test_sweep_csv_shape(self, tmp_path):
         cfg = {"n_samples": 3, "schedule": {"T": 10}}
         path = tmp_path / "c.json"

@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 
 from embedlab import models as models_mod
 from embedlab.autodiff import Graph, evaluate, gradient, param_gradients
-from embedlab.graphs import classifier_graph, log_likelihood_graph
+from embedlab.graphs import classifier_graph
 from embedlab.models import (
     MixtureModel,
     ModelError,
     ScoreNet,
-    classifier_log_prob,
     default_task,
     load_checkpoint,
     save_checkpoint,
@@ -78,7 +77,9 @@ class TestAnalyticScore:
             t = int(rng.integers(1, sched.T + 1))
             x = rng.standard_normal(2) * 1.5
             c = rng.standard_normal(4)
-            g = log_likelihood_graph(model, t, sched)
+            g = Graph()
+            g.mark_output(model.emit_log_likelihood(g, g.placeholder("x"), g.placeholder("c"),
+                                                    t, sched))
             evaluate(g, {"x": x, "c": c})
             np.testing.assert_allclose(model.score(x, c, t, sched),
                                        gradient(g, "x"), atol=1e-9)
@@ -245,7 +246,7 @@ class TestScoreNet:
         g = Graph()
         xr = g.placeholder("x")
         cr = g.placeholder("c")
-        g.mark_output(g.vsum(net.emit_score(g, xr, cr, 17, sched)))
+        g.mark_output(g.dot(net.emit_score(g, xr, cr, 17, sched), g.constant(np.ones(2))))
         val = evaluate(g, {"x": x, "c": c})
         assert float(val) == pytest.approx(float(np.sum(net.score(x, c, 17, sched))), rel=1e-12)
 
@@ -365,20 +366,35 @@ class TestTrainDsm:
         assert num / den <= 0.1
 
 
+def graph_log_posterior(conditionals, priors, x, t, sched):
+    """log p(y | x) for every prompt y, from the classifier graph."""
+    return np.array([float(evaluate(classifier_graph(conditionals, priors, y, t, sched), {"x": x}))
+                     for y in range(len(conditionals))])
+
+
 class TestClassifier:
     def test_single_prompt_log_prob_zero(self, task, sched):
-        out = classifier_log_prob([(task.model, task.embedding(0))], [1.0],
+        out = graph_log_posterior([(task.model, task.embedding(0))], [1.0],
                                   np.zeros(2), 10, sched)
         assert float(out[0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_identical_models_uniform_prior(self, task, sched):
         conds = [(task.model, task.embedding(0)), (task.model, task.embedding(0))]
-        out = classifier_log_prob(conds, [0.5, 0.5], np.ones(2), 20, sched)
+        out = graph_log_posterior(conds, [0.5, 0.5], np.ones(2), 20, sched)
         np.testing.assert_allclose(out, np.log(0.5) * np.ones(2), atol=1e-12)
 
     def test_empty_prompt_set_rejected(self, sched):
         with pytest.raises(ModelError):
-            classifier_log_prob([], [], np.zeros(2), 10, sched)
+            classifier_graph([], [], 0, 10, sched)
+
+    def test_matches_per_prompt_bayes_rule(self, task, sched):
+        rng = np.random.default_rng(19)
+        conds = task.conditionals()
+        for t in (1, 20, 100):
+            x = rng.standard_normal(2) * 1.5
+            np.testing.assert_allclose(
+                graph_log_posterior(conds, task.priors, x, t, sched),
+                _oracle_classifier_log_prob(conds, task.priors, x, t, sched), atol=1e-12)
 
     def test_bayes_gradient_identity(self, task, sched):
         """grad_x log p(x|y) = grad_x log p(x) + grad_x log p(y|x)."""
@@ -448,8 +464,8 @@ _TASKS = {"desk": default_task(), "tiny": tiny_task()}
        seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=150, deadline=None)
 def test_stacked_prompt_pass_matches_per_prompt_loop(task_name, n, t, scale, seed):
-    """unconditional_score and classifier_log_prob, one pass over all prompts,
-    give the bits of the per-prompt loops; n = 0 means one unbatched x."""
+    """unconditional_score, one pass over all prompts, gives the bits of the
+    per-prompt loop; n = 0 means one unbatched x."""
     task = _TASKS[task_name]
     sched = default_schedule()
     d = task.model.data_dim
@@ -459,21 +475,16 @@ def test_stacked_prompt_pass_matches_per_prompt_loop(task_name, n, t, scale, see
     want = _oracle_unconditional_score(conds, task.priors, x, t, sched)
     assert got.shape == want.shape == x.shape
     assert np.array_equal(got, want)
-    got = classifier_log_prob(conds, task.priors, x, t, sched)
-    want = _oracle_classifier_log_prob(conds, task.priors, x, t, sched)
-    assert got.shape == want.shape == (task.n_prompts,) + x.shape[:-1]
-    assert np.array_equal(got, want)
 
 
 class TestPromptSetValidation:
-    """unconditional_score, classifier_log_prob and classifier_graph share
-    one check of the prompt set and its priors."""
+    """unconditional_score and classifier_graph share one check of the
+    prompt set and its priors."""
 
     @staticmethod
     def _all_reject(conds, priors, match, sched):
         x = np.zeros(2)
         for call in (lambda: unconditional_score(conds, priors, x, 10, sched),
-                     lambda: classifier_log_prob(conds, priors, x, 10, sched),
                      lambda: classifier_graph(conds, priors, 0, 10, sched)):
             with pytest.raises(ModelError, match=match):
                 call()
