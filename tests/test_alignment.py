@@ -106,6 +106,18 @@ class TestEvalHt:
 
 
 class TestGradients:
+    def test_closed_form_grads_match_finite_differences(self, cos_h):
+        """The reverse sweep of each emitted alignment graph matches the
+        central-difference gradient of h.value (convex quadratic included)."""
+        rng = np.random.default_rng(4)
+        quad = QuadraticAlignment(rng.standard_normal((1, 2)), sign=+1.0)
+        comp = CompositeAlignment([(cos_h, 0.7), (quad, 0.3)])
+        for h in (cos_h, quad, comp):
+            x = rng.standard_normal(2) + 0.1
+            fd = finite_diff_grad(lambda v: float(h.value(v, 0)), x, 1e-6)
+            err = np.linalg.norm(tape_value_and_grad(h, x)[1] - fd) / (np.linalg.norm(fd) + 1e-12)
+            assert err < 1e-6, (h.kind, err)
+
     def test_composite_gradient_is_weighted_sum(self, cos_h):
         quad = QuadraticAlignment(np.array([[0.2, -0.1]]), sign=-1.0)
         comp = CompositeAlignment([(cos_h, 0.6), (quad, 0.4)])
