@@ -14,8 +14,12 @@ its JSON result.  After each workload it prints, per end-to-end metric of
 against the parent's, how many pairs the change won, and one verdict:
 
 * ``gain``: the change won at least 9 of 10 pairs and its median differs
-  from the parent's by more than the parent's interquartile range, with no
-  larger share of failed ops than the parent;
+  from the parent's by more than the parent's interquartile range, and no
+  change run failed an op that its parent run of the same seed did not
+  (failures are compared by distinct failing op, not by the share of
+  failed ops: a run's fixed time ends anywhere in a cycle, so an op that
+  fails once per cycle on both sides would give a faster change a larger
+  share for no reason);
 * ``regression``: the change's median is worse than the parent's by more
   than the metric's ``bound`` (a share of the parent's median);
 * ``unresolved``: anything else, including "no visible change".
@@ -101,13 +105,22 @@ def run_once(side, tree, workload, seed):
     result = json.loads(lines[-1])
     result["env"] = next((json.loads(ln[len("env "):]) for ln in lines if ln.startswith("env ")),
                          {})
+    result["failing"] = []
     if not result["correct"]:
         # a problem that recurs every cycle is printed once, with its count
         problems = Counter(ln[len("problem: "):] for ln in lines if ln.startswith("problem: "))
-        for problem, n in (problems or {"(no problem line printed)": 1}).items():
+        problems = problems or {"(no problem line printed)": 1}
+        for problem, n in problems.items():
             print(f"{side} run not correct: workload {workload}, seed {seed}: {problem}"
                   + (f" ({n} times)" if n > 1 else ""), file=sys.stderr, flush=True)
+        result["failing"] = sorted({failing_op(problem) for problem in problems})
     return result
+
+
+def failing_op(problem):
+    """'op verify[3]' from 'op verify[3] failed: ...'; any other problem as is."""
+    head, sep, _ = problem.partition(" failed: ")
+    return head if sep and head.startswith("op ") else problem
 
 
 def tier1_once(tree):
@@ -144,10 +157,16 @@ def failures(runs):
             for i in (0, 1)]
 
 
+def new_failures(runs):
+    """The ops a change run failed that its parent run of the same seed did
+    not, as sorted (seed index, op) pairs."""
+    return sorted((i, op) for i, (p, c) in enumerate(runs)
+                  for op in set(c["failing"]) - set(p["failing"]))
+
+
 def summarize(metrics, runs):
     """One dict per metric; runs is a list of (parent, change)."""
-    (pf, pa), (cf, ca) = failures(runs)
-    more_failures = cf * pa > pf * ca
+    more_failures = bool(new_failures(runs))
     rows = []
     for m in metrics:
         name, better = m["name"], m["better"]
@@ -178,8 +197,10 @@ def report(workload, rev, seeds, metrics, runs):
               f"change won {r['wins']}/{len(runs)}  parent IQR {p3 - p1:.4g}  {r['verdict']}")
     bad = sum(not r["correct"] for pair in runs for r in pair)
     (pf, pa), (cf, ca) = failures(runs)
+    new = new_failures(runs)
     print(f"runs not correct: {bad} of {2 * len(runs)}; failed ops: parent {pf}/{pa}, "
-          f"change {cf}/{ca}", flush=True)
+          f"change {cf}/{ca}; ops the change failed and its parent did not: "
+          + (", ".join(f"{op} (pair {i})" for i, op in new) or "none"), flush=True)
     return rows
 
 

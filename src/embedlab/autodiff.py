@@ -6,37 +6,64 @@ reverse sweep yields exact gradients of a scalar output with respect to any
 named input (and, for affine nodes backed by :class:`Param`, with respect to
 trainable weights).
 
-The primitive set is deliberately small: affine map, elementwise SiLU,
-softmax, log-sum-exp, dot product, cosine similarity and diagonal Gaussian
-log-density, plus the arithmetic and packing operations needed to compose
-them.  Everything the lab differentiates is expressed in these terms.
+The primitive set is deliberately small: affine map, sigmoid and SiLU,
+softmax, log-sum-exp, dot product, cosine similarity, diagonal Gaussian
+log-density and a weighted sum over a stacked axis, plus the arithmetic,
+selection and joining operations needed to compose them.  Everything the
+lab differentiates is expressed in these terms.
 
-Every node has a row rank fixed when it is built: 1 for a vector, 0 for a
-scalar.  Placeholders are vectors.  A binding may carry leading batch axes
+Rows and stacked axes.  Every node has a row rank fixed when it is built:
+the number of axes of its row.  A scalar has rank 0 and a vector rank 1; a
+row of rank 2 or 3, such as ``(K, d)`` or ``(P, K, d)``, stacks vectors over
+mixture components and prompts.  Placeholders are vectors, and a
+constant's row is its whole value.  A binding may carry leading batch axes
 in front of its row, and then every node carries the same axes and treats
-each row on its own:
+each batch row on its own:
 
-* ``affine`` and the reductions (``dot``, ``cosine``, ``softmax``,
-  ``logsumexp``, ``gauss_logpdf``) act on the last axis;
-* ``pick``, ``pack`` and ``concat`` index, stack and join on the last axis;
+* ``affine``, the reductions (``dot``, ``cosine``, ``softmax``,
+  ``logsumexp``, ``gauss_logpdf``), ``pick`` and ``concat`` act on the last
+  axis;
+* ``add``, ``sub``, ``mul``, ``dot`` and ``gauss_logpdf`` take operands of
+  equal rank, or broadcast the lower-rank operand, a vector or more but
+  never a scalar, over the other's leading stacked axes: the new axes go
+  between its batch axes and its row;
+* ``affine`` with a stacked weight ``(S..., out, in)`` and bias
+  ``(S..., out)`` inserts ``S`` in front of the input's last axis, so a
+  vector gives rows ``(S..., out)`` and a stack ``(P, in)`` gives
+  ``(P, S..., out)``;
+* ``wsum(r, v)`` is ``sum_k r_k v_k`` over the last axis of ``r``, which
+  is the axis of ``v`` in front of its row (``v``'s last axis when the two
+  have equal ranks);
 * a gradient needs an output that is scalar per row, and seeds every row
   with 1.
 
-Constants carry no batch axes and broadcast.  Each batched form rounds
-exactly as the same primitive on one row does (stacked ``matmul`` rather
-than one gemm, ``vecdot`` rather than a sum of products), so a batch gives
-the same bits as its rows evaluated one at a time.
+Constants carry no batch axes and broadcast.  Each batched or stacked form
+rounds exactly as the same primitive on one row and one slice does (stacked
+``matmul`` rather than one gemm, ``vecdot`` rather than a sum of products,
+last-axis reductions), so a batch gives the bits of its rows evaluated one
+at a time, and a stacked node the bits of one node per slice.
+
+The order in which adjoints add up is part of those bits.  The reverse
+sweep visits the nodes last to first and adds each adjoint onto its
+operand's running adjoint.  An adjoint sent to a broadcast operand carries
+the inserted axes; it is added onto the operand's running adjoint one slice
+at a time, the last (flattened) index first, and never reduced over those
+axes first.  That is the order in which a tape with one node per slice
+visited those nodes.  In the forward pass ``wsum`` chains its terms in
+index order from the first, as a chain of ``add`` nodes does, and it sends
+its weights their adjoint plus 0.0 when there are two or more: the sum of
+one-hot adjoints from one ``pick`` node per weight, whose zeros turn a -0.0
+into +0.0.
 
 Constant folding: a node whose arguments are all constants, and whose
 payload holds no :class:`Param`, is evaluated once when it is appended and
 stored as a constant at the same node index.  The forward pass then reads
-its value instead of recomputing it, and the reverse sweep does not enter
-it (an adjoint that reaches a constant is discarded).  Its value is the one
-the forward pass would have computed, so folding changes no bits.  An
-affine map with a Param weight or bias is never folded, so that
-:func:`param_gradients` still reaches the Param; a folded value that is
-not finite is still rejected by :func:`evaluate`, which names the node's
-index and its original primitive.
+its value instead of recomputing it, and the reverse sweep sends it no
+adjoint.  Its value is the one the forward pass would have computed, so
+folding changes no bits.  An affine map with a Param weight or bias is
+never folded, so that :func:`param_gradients` still reaches the Param; a
+folded value that is not finite is still rejected by :func:`evaluate`,
+which names the node's index and its original primitive.
 """
 
 from __future__ import annotations
@@ -62,13 +89,16 @@ class Param:
 
 
 class _Node:
-    __slots__ = ("op", "args", "payload", "rank")
+    # spread: None, or per argument None or (m, tail): the argument is
+    # broadcast by m new axes in front of its last `tail` axes
+    __slots__ = ("op", "args", "payload", "rank", "spread")
 
-    def __init__(self, op, args, payload, rank):
+    def __init__(self, op, args, payload, rank, spread):
         self.op = op
         self.args = args
         self.payload = payload
         self.rank = rank
+        self.spread = spread
 
 
 def _as_array(v):
@@ -92,27 +122,102 @@ def _norm(a):
     return np.sqrt(np.vecdot(a, a))
 
 
-# op -> (row rank every argument must have, row rank of the result); None
-# means any rank for the arguments, and the last argument's rank for the
-# result.  add, sub and mul need equal ranks; smul a scalar first argument.
+def _pval(p):
+    return p.value if isinstance(p, Param) else p
+
+
+def _lift(v, m, tail):
+    """v with m new axes in front of its last `tail` axes."""
+    if v.ndim == tail:      # no batch axes: numpy's broadcasting inserts them
+        return v
+    return v.reshape(v.shape[:v.ndim - tail] + (1,) * m + v.shape[v.ndim - tail:])
+
+
+def _lift_args(values, spread):
+    return [v if s is None else _lift(v, *s) for v, s in zip(values, spread)]
+
+
+# -- row ranks: op -> rule(op, argument ranks, payload) -> (rank, spread) ----
+
+def _no_scalars(op, ranks):
+    if 0 in ranks:
+        raise GraphError(f"{op}: operands must be vectors or stacked rows, not scalars")
+
+
+def _broadcast(op, ranks, payload=None):
+    ra, rb = ranks
+    if ra == rb:
+        return ra, None
+    if 0 in ranks:
+        raise GraphError(f"{op}: operands have row ranks {ra} and {rb}; "
+                         "a scalar is not broadcast")
+    hi = max(ranks)
+    return hi, tuple(None if r == hi else (hi - r, r) for r in ranks)
+
+
+def _same(op, ranks, payload):
+    if len(set(ranks)) > 1:
+        raise GraphError(f"{op}: operands have row ranks {ranks}")
+    return ranks[0], None
+
+
+def _scale_rank(op, ranks, payload):
+    if np.ndim(payload["k"]) > ranks[0]:
+        raise GraphError(f"{op}: a factor of shape {np.shape(payload['k'])} "
+                         f"exceeds rows of rank {ranks[0]}")
+    return ranks[0], None
+
+
+def _last_axis(keep):
+    def rule(op, ranks, payload):
+        _no_scalars(op, ranks)
+        return ranks[0] - (not keep), None
+    return rule
+
+
+def _contract(op, ranks, payload):
+    _no_scalars(op, ranks)
+    rank, spread = _broadcast(op, ranks)
+    if payload is not None and payload["var"].ndim > rank:
+        raise GraphError(f"{op}: variances of shape {payload['var'].shape} "
+                         f"exceed rows of rank {rank}")
+    return rank - 1, spread
+
+
+def _cosine(op, ranks, payload):
+    if ranks != [1, 1]:
+        raise GraphError(f"{op}: operands must be vector nodes")
+    return 0, None
+
+
+def _affine_rank(op, ranks, payload):
+    _no_scalars(op, ranks)
+    stack = np.ndim(_pval(payload["W"])) - 2
+    return ranks[0] + stack, ((stack, 1),) if stack else None
+
+
+def _wsum_rank(op, ranks, payload):
+    r, v = ranks
+    if r == 0:
+        raise GraphError(f"{op}: the weights must be a vector or stacked row, not a scalar")
+    if v - r not in (0, 1):
+        raise GraphError(f"{op}: values of row rank {v} do not stack over weights of rank {r}")
+    return v - 1, None
+
+
+def _concat_rank(op, ranks, payload):
+    if max(ranks) > 1:
+        raise GraphError(f"{op}: parts must be scalar or vector nodes")
+    return 1, None
+
+
 _RANKS = {
-    "add": (None, None), "sub": (None, None), "mul": (None, None),
-    "scale": (None, None), "silu": (None, None), "smul": (None, None),
-    "affine": (1, 1), "softmax": (1, 1), "logsumexp": (1, 0), "dot": (1, 0),
-    "cosine": (1, 0), "gauss_logpdf": (1, 0), "pick": (1, 0), "pack": (0, 1),
-    "concat": (None, 1),
+    "add": _broadcast, "sub": _broadcast, "mul": _broadcast,
+    "scale": _scale_rank, "sigmoid": _same, "silu": _same,
+    "affine": _affine_rank, "softmax": _last_axis(True), "logsumexp": _last_axis(False),
+    "pick": _last_axis(False), "dot": _contract, "gauss_logpdf": _contract,
+    "cosine": _cosine, "wsum": _wsum_rank, "concat": _concat_rank,
 }
-
-
-def _result_rank(op, ranks):
-    need, out = _RANKS[op]
-    if need is not None and ranks.count(need) != len(ranks):
-        raise GraphError(f"{op}: operands must be {('scalar', 'vector')[need]} nodes")
-    if op in ("add", "sub", "mul") and ranks[0] != ranks[1]:
-        raise GraphError(f"{op}: operands have row ranks {ranks[0]} and {ranks[1]}")
-    if op == "smul" and ranks[0] != 0:
-        raise GraphError("smul: the first operand must be a scalar node")
-    return ranks[-1] if out is None else out
 
 
 class Graph:
@@ -137,11 +242,14 @@ class Graph:
         if args and not (0 <= min(args) and max(args) < len(nodes)):
             bad = next(a for a in args if not 0 <= a < len(nodes))
             raise GraphError(f"{op}: argument node {bad} does not exist")
-        node = _Node(op, args, payload, _result_rank(op, [nodes[a].rank for a in args]))
+        node = _Node(op, args, payload, *_RANKS[op](op, [nodes[a].rank for a in args], payload))
         if args and self._const_ids.issuperset(args) and not (
                 payload and any([isinstance(v, Param) for v in payload.values()])):
             # fold: evaluate once now, and the node becomes a constant leaf
-            value = np.asarray(_FORWARD[op](node, *[nodes[a].payload["value"] for a in args]))
+            values = [nodes[a].payload["value"] for a in args]
+            if node.spread:
+                values = _lift_args(values, node.spread)
+            value = np.asarray(_FORWARD[op](node, *values))
             node.op, node.args, node.payload = "const", (), {"value": value, "folded": op}
             self._const_ids.add(len(nodes))
         nodes.append(node)
@@ -151,16 +259,15 @@ class Graph:
         """A named input whose rows are vectors."""
         if name in self.input_ids:
             raise GraphError(f"duplicate placeholder {name!r}")
-        self.nodes.append(_Node("input", (), {"name": name}, 1))
+        self.nodes.append(_Node("input", (), {"name": name}, 1, None))
         self.input_ids[name] = len(self.nodes) - 1
         return self.input_ids[name]
 
     def constant(self, value):
+        """A fixed array; its whole shape is its row."""
         value = _as_array(value)
-        if value.ndim > 1:
-            raise GraphError("constants are scalars or vectors")
         self._const_ids.add(len(self.nodes))
-        self.nodes.append(_Node("const", (), {"value": value}, value.ndim))
+        self.nodes.append(_Node("const", (), {"value": value}, value.ndim, None))
         return len(self.nodes) - 1
 
     def add(self, a, b):
@@ -170,23 +277,27 @@ class Graph:
         return self._append("sub", (a, b))
 
     def scale(self, a, k):
-        """Multiply a node by a fixed scalar constant k."""
-        return self._append("scale", (a,), {"k": float(k)})
+        """Multiply a node by a fixed scalar, or by a fixed array that
+        broadcasts against its rows."""
+        k = _as_array(k)
+        return self._append("scale", (a,), {"k": float(k) if k.ndim == 0 else k})
 
     def mul(self, a, b):
-        """Elementwise product of two nodes with equal shapes."""
+        """Elementwise product of two nodes."""
         return self._append("mul", (a, b))
 
-    def smul(self, s, v):
-        """Scalar node s times vector node v."""
-        return self._append("smul", (s, v))
-
     def affine(self, x, weight, bias=None):
-        """weight @ x + bias; weight/bias may be ndarrays or Params."""
+        """weight @ x + bias; weight/bias may be ndarrays or Params, and an
+        ndarray weight (S..., out, in) with bias (S..., out) stacks S maps."""
         return self._append("affine", (x,), {"W": weight, "b": bias})
 
+    def sigmoid(self, a):
+        return self._append("sigmoid", (a,))
+
     def silu(self, a):
-        return self._append("silu", (a,))
+        """a * sigmoid(a); the sigmoid is a node of its own, so the reverse
+        sweep reads it instead of recomputing it."""
+        return self._append("silu", (a, self.sigmoid(a)))
 
     def softmax(self, a):
         return self._append("softmax", (a,))
@@ -201,18 +312,21 @@ class Graph:
         return self._append("cosine", (a, b))
 
     def gauss_logpdf(self, x, mu, var):
-        """Log-density of N(mu, diag(var)) at x; var is a fixed vector."""
+        """Log-density of N(mu, diag(var)) at x; var is a fixed array."""
         var = _as_array(var)
         return self._append("gauss_logpdf", (x, mu),
                             {"var": var, "log_norm": np.log(2.0 * np.pi * var)})
 
-    def pack(self, scalars):
-        """Stack scalar nodes into a vector node."""
-        return self._append("pack", tuple(scalars))
-
     def pick(self, v, index):
-        """Select one component of a vector node as a scalar node."""
+        """Select one entry of the last axis."""
         return self._append("pick", (v,), {"i": int(index)})
+
+    def wsum(self, r, v):
+        """sum_k r_k v_k over the last axis of r."""
+        nodes = self.nodes
+        # a node that does not exist is reported by _append
+        row = nodes[v].rank - nodes[r].rank if 0 <= min(r, v) and max(r, v) < len(nodes) else 0
+        return self._append("wsum", (r, v), {"row": row})
 
     def concat(self, parts):
         """Join scalar and vector nodes into one vector node."""
@@ -228,12 +342,9 @@ class Graph:
         return nid
 
 
-def _pval(p):
-    return p.value if isinstance(p, Param) else p
-
-
 def _affine(W, x):
-    # one matrix-vector product per row; a single gemm would round differently
+    # one matrix-vector product per row (and per stacked map); a single
+    # gemm would round differently
     return np.matmul(W, x[..., None])[..., 0]
 
 
@@ -262,10 +373,18 @@ def _f_gauss_logpdf(node, x, mu):
     return -0.5 * np.add.reduce(d * d / pl["var"] + pl["log_norm"], axis=-1)
 
 
-def _f_pack(node, *vs):
-    if len({v.shape for v in vs}) > 1:
-        vs = np.broadcast_arrays(*vs)
-    return np.stack(vs, axis=-1)
+def _terms(node, r, v):
+    """The products r_k v_k, in index order."""
+    if node.payload["row"]:
+        return (r[..., k, None] * v[..., k, :] for k in range(r.shape[-1]))
+    return (r[..., k] * v[..., k] for k in range(r.shape[-1]))
+
+
+def _f_wsum(node, r, v):
+    first, *rest = _terms(node, r, v)
+    for term in rest:
+        first = first + term
+    return first
 
 
 def _f_concat(node, *vs):
@@ -280,16 +399,16 @@ _FORWARD = {
     "sub": lambda node, a, b: a - b,
     "scale": lambda node, a: node.payload["k"] * a,
     "mul": lambda node, a, b: a * b,
-    "smul": lambda node, s, v: (_col(s) if node.rank else s) * v,
     "affine": _f_affine,
-    "silu": lambda node, a: a * _sigmoid(a),
+    "sigmoid": lambda node, a: _sigmoid(a),
+    "silu": lambda node, a, s: a * s,
     "softmax": _f_softmax,
     "logsumexp": _f_logsumexp,
     "dot": lambda node, a, b: np.vecdot(a, b),
     "cosine": lambda node, a, b: np.vecdot(a, b) / (_norm(a) * _norm(b)),
     "gauss_logpdf": _f_gauss_logpdf,
-    "pack": _f_pack,
     "pick": lambda node, v: v[..., node.payload["i"]],
+    "wsum": _f_wsum,
     "concat": _f_concat,
 }
 
@@ -338,7 +457,10 @@ def evaluate(graph, bindings):
             elif lead != batch:
                 raise GraphError(f"input {name!r}: batch axes {lead} differ from {batch}")
         else:
-            v = np.asarray(_FORWARD[node.op](node, *[vals[a] for a in node.args]))
+            args = [vals[a] for a in node.args]
+            if node.spread:
+                args = _lift_args(args, node.spread)
+            v = np.asarray(_FORWARD[node.op](node, *args))
         vals[i] = v
     _check_finite(graph, vals)
     graph.values = vals
@@ -347,18 +469,12 @@ def evaluate(graph, bindings):
 
 # -- reverse sweep: adjoints of each argument given the node's adjoint g ----
 
-def _b_smul(node, g, y, s, v):
-    if node.rank:
-        return np.add.reduce(g * v, axis=-1), _col(s) * g
-    return g * v, s * g
-
-
 def _b_affine(node, g, y, x):
-    return (_affine(_pval(node.payload["W"]).T, g),)
+    return (_affine(_pval(node.payload["W"]).mT, g),)
 
 
-def _b_silu(node, g, y, x):
-    s = _sigmoid(x)
+def _b_silu(node, g, y, x, s):
+    # the sigmoid node sends nothing on: its adjoint is folded in here
     return (g * s * (1.0 + x * (1.0 - s)),)
 
 
@@ -381,6 +497,18 @@ def _b_pick(node, g, y, v):
     return (full,)
 
 
+def _b_wsum(node, g, y, r, v):
+    if node.payload["row"]:
+        gr = np.add.reduce(g[..., None, :] * v, axis=-1)
+        gv = r[..., None] * g[..., None, :]
+    else:
+        gr = g[..., None] * v
+        gv = r * g[..., None]
+    if r.shape[-1] > 1:
+        gr += 0.0           # as the sum of one pick adjoint per weight
+    return gr, gv
+
+
 def _b_concat(node, g, y, *vs):
     out, off = [], 0
     for v, r in zip(vs, node.payload["ranks"]):
@@ -396,16 +524,16 @@ _BACKWARD = {
     "sub": lambda node, g, y, a, b: (g, -g),
     "scale": lambda node, g, y, a: (node.payload["k"] * g,),
     "mul": lambda node, g, y, a, b: (g * b, g * a),
-    "smul": _b_smul,
     "affine": _b_affine,
+    "sigmoid": lambda node, g, y, a: (g * y * (1.0 - y),),
     "silu": _b_silu,
     "softmax": lambda node, g, y, a: (y * (g - _col(np.vecdot(g, y))),),
     "logsumexp": lambda node, g, y, x: (_col(g) * np.exp(x - _col(y)),),
     "dot": lambda node, g, y, a, b: (_col(g) * b, _col(g) * a),
     "cosine": _b_cosine,
     "gauss_logpdf": _b_gauss_logpdf,
-    "pack": lambda node, g, y, *vs: [g[..., k] for k in range(len(vs))],
     "pick": _b_pick,
+    "wsum": _b_wsum,
     "concat": _b_concat,
 }
 
@@ -421,12 +549,24 @@ def _accumulate_params(node, g, x):
         b.grad += g2.sum(axis=0)
 
 
+def _add_slices(adj, a, ga, m, tail):
+    """Add ga onto adj[a] one slice of its m inserted axes (those in front
+    of its last `tail` axes) at a time, the last flattened index first."""
+    cut = ga.ndim - tail
+    flat = ga.reshape(ga.shape[:cut - m] + (-1,) + ga.shape[cut:])
+    acc = adj[a]
+    for j in range(flat.shape[cut - m] - 1, -1, -1):
+        part = flat[(Ellipsis, j) + (slice(None),) * tail]
+        acc = part if acc is None else acc + part
+    adj[a] = acc
+
+
 def _backward(graph, accumulate_params=False):
     """Reverse sweep from an output that is scalar per row; returns per-node
     adjoints."""
     if graph.values is None:
         raise GraphError("run evaluate() before taking gradients")
-    nodes, vals = graph.nodes, graph.values
+    nodes, vals, consts = graph.nodes, graph.values, graph._const_ids
     if nodes[graph.output].rank != 0:
         raise GraphError("gradient requires a scalar output")
 
@@ -437,10 +577,19 @@ def _backward(graph, accumulate_params=False):
         node = nodes[i]
         if g is None or node.op in ("input", "const"):
             continue
-        args = node.args
-        grads = _BACKWARD[node.op](node, g, vals[i], *[vals[a] for a in args])
-        for a, ga in zip(args, grads):
-            adj[a] = ga if adj[a] is None else adj[a] + ga
+        args, spread = node.args, node.spread
+        avals = [vals[a] for a in args]
+        if spread:
+            avals = _lift_args(avals, spread)
+        grads = _BACKWARD[node.op](node, g, vals[i], *avals)
+        for j, ga in enumerate(grads):
+            a = args[j]
+            if a in consts:
+                continue        # a constant's adjoint is never read
+            if spread and spread[j]:
+                _add_slices(adj, a, ga, *spread[j])
+            else:
+                adj[a] = ga if adj[a] is None else adj[a] + ga
         if accumulate_params and node.op == "affine":
             _accumulate_params(node, g, vals[args[0]])
     return adj

@@ -53,18 +53,17 @@ def perturbed_h_graph(h, y):
 def classifier_graph(conditionals, priors, y, t, sched):
     """Graph for log p(y | x) under the Bayes classifier over prompts.
 
-    The embeddings are constants, so the nodes that do not depend on x
-    (weight logits, component means, the logits' log-sum-exp) are folded
-    to constants while the graph is built.
+    The prompt embeddings are one (P, e) constant, so the (P, K) weight
+    logits, the (P, K, d) component means and the logits' (P,) log-sum-exps
+    are folded to constants while the graph is built, and the nodes over x
+    are one per operation, stacked over prompts and components.
     """
     model, embeddings, priors = prompt_stack(conditionals, priors)
     g = Graph()
     x_ref = g.placeholder("x")
-    terms = []
-    for prior, c in zip(priors, embeddings):
-        lp = model.emit_log_likelihood(g, x_ref, g.constant(c), t, sched)
-        terms.append(g.add(lp, g.constant(np.log(prior))))
-    g.mark_output(g.sub(terms[int(y)], g.logsumexp(g.pack(terms))))
+    lp = model.emit_log_likelihood(g, x_ref, g.constant(embeddings), t, sched)
+    terms = g.add(lp, g.constant(np.log(priors)))
+    g.mark_output(g.sub(g.pick(terms, int(y)), g.logsumexp(terms)))
     return g
 
 
@@ -83,25 +82,24 @@ def directional_cgrad_graph(model, direction, c_org, t, sched):
     logw = logits - (np.max(logits) + np.log(np.sum(np.exp(logits - np.max(logits)))))
     w = np.exp(logw)
     mean_logit = w @ model.weight_logits
+    coeff = np.sqrt(ab) * (model.mean_maps @ u) / variances
+    alpha = np.vecdot(model.weight_logits - mean_logit, u)
 
+    # x - mu_k enters each component twice, in the log-density and in the
+    # linear term, and their adjoints reach x component by component, the
+    # linear term's first.  One (K, 2, d) node takes both differences
+    # (slot 0 for the density, slot 1 for the linear term), so its slices
+    # reach x in that order; each use reads its slot of a (K, 2) result.
+    both = lambda a, b: np.stack([a, b], axis=-2)
+    zero = np.zeros_like(means)
     g = Graph()
     x_ref = g.placeholder("x")
-    comps = []
-    linear_terms = []
-    for k in range(model.n_components):
-        mu = g.constant(means[k])
-        lp = g.gauss_logpdf(x_ref, mu, variances[k])
-        comps.append(g.add(g.constant(logw[k]), lp))
-        coeff = np.sqrt(ab) * (model.mean_maps[k] @ u) / variances[k]
-        alpha_k = float(u @ (model.weight_logits[k] - mean_logit))
-        lin = g.add(g.dot(g.sub(x_ref, mu), g.constant(coeff)), g.constant(alpha_k))
-        linear_terms.append(lin)
-    resp = g.softmax(g.pack(comps))
-    out = None
-    for k in range(model.n_components):
-        term = g.mul(g.pick(resp, k), linear_terms[k])
-        out = term if out is None else g.add(out, term)
-    g.mark_output(out)
+    diff = g.sub(x_ref, g.constant(both(means, means)))
+    lp = g.pick(g.gauss_logpdf(diff, g.constant(both(zero, zero)),
+                               both(variances, variances)), 0)
+    lin = g.add(g.pick(g.dot(diff, g.constant(both(zero, coeff))), 1), g.constant(alpha))
+    resp = g.softmax(g.add(g.constant(logw), lp))
+    g.mark_output(g.wsum(resp, lin))
     return g
 
 

@@ -214,28 +214,28 @@ class MixtureModel:
     # -- tape emission -------------------------------------------------------
 
     def _emit_log_joint(self, g, x_ref, c_ref, t, sched):
-        """Nodes for the logits, each unnormalized log w_k + log N_t(x; mu_k,
-        var_k) and each mu_k; also the variances."""
+        """Nodes for the logits, the unnormalized log w_k + log N_t(x; mu_k,
+        var_k) and the means mu_k, each stacked over k, and the variances.
+        Embeddings stacked as (P, e) stack every node over P in front of k."""
         ab = sched.alpha_bar(t)
         variances = ab * self.covs + (1.0 - ab)
         logits = g.affine(c_ref, self.weight_logits)
-        mus = [g.affine(c_ref, np.sqrt(ab) * M, np.sqrt(ab) * b)
-               for M, b in zip(self.mean_maps, self.mean_offsets)]
-        comps = [g.add(g.pick(logits, k), g.gauss_logpdf(x_ref, mu, v))
-                 for k, (mu, v) in enumerate(zip(mus, variances))]
-        return logits, comps, mus, variances
+        mus = g.affine(c_ref, np.sqrt(ab) * self.mean_maps, np.sqrt(ab) * self.mean_offsets)
+        return logits, g.add(logits, g.gauss_logpdf(x_ref, mus, variances)), mus, variances
 
     def emit_log_likelihood(self, g, x_ref, c_ref, t, sched):
         """Append nodes computing log p_t(x | c) to graph g."""
         logits, comps, _, _ = self._emit_log_joint(g, x_ref, c_ref, t, sched)
-        return g.sub(g.logsumexp(g.pack(comps)), g.logsumexp(logits))
+        return g.sub(g.logsumexp(comps), g.logsumexp(logits))
 
     def emit_score(self, g, x_ref, c_ref, t, sched):
         """Append nodes computing the conditional score vector to graph g."""
         _, comps, mus, variances = self._emit_log_joint(g, x_ref, c_ref, t, sched)
-        resp = g.softmax(g.pack(comps))
-        pulls = [g.affine(g.sub(x_ref, mu), np.diag(-1.0 / v)) for mu, v in zip(mus, variances)]
-        return reduce(g.add, [g.smul(g.pick(resp, k), pull) for k, pull in enumerate(pulls)])
+        resp = g.softmax(comps)
+        # (x - mu_k) * -1/var_k: a product by diag(-1/var_k) adds only
+        # exact zeros to each entry
+        pulls = g.scale(g.sub(x_ref, mus), -1.0 / variances)
+        return g.wsum(resp, pulls)
 
 
 def _mlp_layer_shapes(data_dim, embed_dim, hidden, depth, time_feats):

@@ -184,11 +184,29 @@ def _primitive_cases(rng):
         return g.gauss_logpdf(g.constant(mu), x, var)
 
     def out_mix(g, x):
-        s = g.smul(g.pick(g.softmax(x), 0), g.sub(x, g.constant(mu)))
+        s = g.mul(g.pick(g.softmax(x), 0), g.dot(x, g.constant(mu)))
         return g.logsumexp(g.concat([s, g.mul(x, x)]))
 
+    # stacked rows: x broadcast over 3 stacked (3, d) maps and means
+    W3 = rng.standard_normal((3, d, d)) * 0.5
+    b3 = rng.standard_normal((3, d))
+    M3 = rng.standard_normal((3, d))
+    var3 = rng.uniform(0.5, 2.0, (3, d))
+
+    def out_stacked_gauss(g, x):
+        mus = g.affine(x, W3, b3)
+        return g.logsumexp(g.add(g.gauss_logpdf(x, mus, var3), g.dot(x, g.sub(mus, x))))
+
+    def out_wsum(g, x):
+        pulls = g.mul(g.sub(x, g.constant(M3)), g.silu(g.affine(x, W3)))
+        return g.dot(g.wsum(g.softmax(g.affine(x, W3[0, :3])), pulls), g.constant(yvec))
+
+    def out_wsum_scalars(g, x):
+        return g.wsum(g.softmax(x), g.dot(g.sub(x, g.constant(W3[0])), g.constant(W3[1])))
+
     return [out_affine, out_silu, out_softmax, out_logsumexp, out_dot,
-            out_cosine, out_gauss, out_gauss_mu, out_mix]
+            out_cosine, out_gauss, out_gauss_mu, out_mix, out_stacked_gauss,
+            out_wsum, out_wsum_scalars]
 
 
 def test_every_primitive_matches_central_differences():
@@ -256,7 +274,7 @@ def test_row_ranks_checked_when_built():
     with pytest.raises(GraphError, match="row ranks"):
         g.add(x, s)
     with pytest.raises(GraphError, match="scalar"):
-        g.smul(x, x)
+        g.wsum(s, x)
     with pytest.raises(GraphError, match="vector"):
         g.dot(s, s)
 
@@ -283,7 +301,7 @@ def test_batched_adjoints_reach_constant_subgraphs():
     g = Graph()
     x = g.placeholder("x")
     cn = g.constant(cvec)
-    g.mark_output(g.add(g.dot(g.affine(cn, W), x), g.smul(g.pick(cn, 1), g.dot(x, g.constant(np.ones(3))))))
+    g.mark_output(g.add(g.dot(g.affine(cn, W), x), g.mul(g.pick(cn, 1), g.dot(x, g.constant(np.ones(3))))))
     X = rng.standard_normal((4, 3))
     evaluate(g, {"x": X})
     np.testing.assert_allclose(gradient(g, "x"), np.tile(W.value @ cvec - 2.0, (4, 1)), rtol=1e-14)
@@ -315,9 +333,10 @@ def test_param_weight_over_constant_is_not_folded():
 
 
 def test_folded_gradient_matches_unfoldable_placeholder_graph():
-    """The classifier graph against the same function with each embedding
-    bound as a placeholder, which cannot fold: equal values and equal
-    x-gradients, bit for bit, batched and unbatched."""
+    """The classifier graph, its prompts stacked into folded constants,
+    against the same function with each embedding bound as a placeholder of
+    its own, which cannot fold, and the prompts joined by concat: equal
+    values and equal x-gradients, bit for bit, batched and unbatched."""
     task, sched = default_task(), default_schedule()
     model, y = task.model, 1
     rng = np.random.default_rng(17)
@@ -327,7 +346,7 @@ def test_folded_gradient_matches_unfoldable_placeholder_graph():
         x = g.placeholder("x")
         terms = [g.add(model.emit_log_likelihood(g, x, g.placeholder(f"c{i}"), t, sched),
                        g.constant(np.log(p))) for i, p in enumerate(task.priors)]
-        g.mark_output(g.sub(terms[y], g.logsumexp(g.pack(terms))))
+        g.mark_output(g.sub(terms[y], g.logsumexp(g.concat(terms))))
         assert all(n.op != "const" or "folded" not in n.payload for n in g.nodes)
         for X in (rng.standard_normal(2) * 2.0, rng.standard_normal((3, 2)) * 2.0):
             cs = {f"c{i}": np.broadcast_to(c, X.shape[:-1] + c.shape)

@@ -18,9 +18,12 @@ METRICS = [{"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.2
            {"name": "op_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25}]
 
 
-def _run(ops, p50, failed=0, attempted=100):
-    return {"failed": failed, "attempted": attempted, "metrics": {"ops_per_s": {"value": ops},
-                                          "op_p50_ms": {"value": p50}}}
+def _run(ops, p50, failed=0, attempted=100, failing=None):
+    """A run's result; by default its failed ops are all one op of the cycle."""
+    if failing is None:
+        failing = ["op verify[3]"] if failed else []
+    return {"failed": failed, "attempted": attempted, "failing": failing,
+            "metrics": {"ops_per_s": {"value": ops}, "op_p50_ms": {"value": p50}}}
 
 
 def _verdicts(runs):
@@ -55,6 +58,26 @@ def test_no_gain_when_the_change_fails_a_larger_share_of_ops():
     assert _verdicts(runs)["ops_per_s"] == "gain"
     runs[5] = (runs[5][0], _run(6.05, 250.0, failed=1, attempted=150))
     assert _verdicts(runs)["ops_per_s"] == "unresolved"
+
+
+def test_an_op_failing_every_cycle_on_both_sides_keeps_the_gain():
+    """The same op fails once per cycle in both trees; the faster change
+    completes more cycles and ends its run at another point of the cycle,
+    so its pooled failed share is larger (45/2840 against 28/1792, as seen
+    on verify seed 204), yet it fails nothing its parent does not."""
+    runs = [(_run(9.0 + 0.01 * i, 250.0, failed=28, attempted=1792),
+             _run(14.0 + 0.01 * i, 250.0, failed=45, attempted=2840)) for i in range(10)]
+    assert _verdicts(runs)["ops_per_s"] == "gain"
+    # failing another op than the parent's loses the gain, whatever the counts
+    runs[2] = (runs[2][0], _run(14.0, 250.0, failed=1, attempted=2840,
+                                failing=["op verify[5]"]))
+    assert _verdicts(runs)["ops_per_s"] == "unresolved"
+    assert bench_ab.new_failures(runs) == [(2, "op verify[5]")]
+
+
+def test_failing_op_names_the_op_of_a_problem_line():
+    assert bench_ab.failing_op("op verify[3] failed: FAIL m1 x=1") == "op verify[3]"
+    assert bench_ab.failing_op("layer models idle on verify") == "layer models idle on verify"
 
 
 def test_workload_list_is_checked():
@@ -98,6 +121,7 @@ def test_run_not_correct_prints_each_problem_once_with_its_count(tmp_path, capsy
     _stub_run_py(tmp_path, _STUB_RESULT)
     res = bench_ab.run_once("change", str(tmp_path), "verify", 38)
     assert res["correct"] is False and res["failed"] == 1
+    assert res["failing"] == ["op verify[3]"]
     err = capsys.readouterr().err
     assert err == ("change run not correct: workload verify, seed 38: op verify[3] failed: "
                    "verify ran [], failed ['m1_folded_normal'] (2 times)\n")
