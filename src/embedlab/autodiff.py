@@ -144,7 +144,7 @@ def _no_scalars(op, ranks):
         raise GraphError(f"{op}: operands must be vectors or stacked rows, not scalars")
 
 
-def _broadcast(op, ranks, payload=None):
+def _broadcast(op, ranks, payload):
     ra, rb = ranks
     if ra == rb:
         return ra, None
@@ -161,26 +161,19 @@ def _same(op, ranks, payload):
     return ranks[0], None
 
 
-def _scale_rank(op, ranks, payload):
-    if np.ndim(payload["k"]) > ranks[0]:
-        raise GraphError(f"{op}: a factor of shape {np.shape(payload['k'])} "
-                         f"exceeds rows of rank {ranks[0]}")
+def _keep_last(op, ranks, payload):
+    _no_scalars(op, ranks)
     return ranks[0], None
 
 
-def _last_axis(keep):
-    def rule(op, ranks, payload):
-        _no_scalars(op, ranks)
-        return ranks[0] - (not keep), None
-    return rule
+def _drop_last(op, ranks, payload):
+    _no_scalars(op, ranks)
+    return ranks[0] - 1, None
 
 
 def _contract(op, ranks, payload):
     _no_scalars(op, ranks)
-    rank, spread = _broadcast(op, ranks)
-    if payload is not None and payload["var"].ndim > rank:
-        raise GraphError(f"{op}: variances of shape {payload['var'].shape} "
-                         f"exceed rows of rank {rank}")
+    rank, spread = _broadcast(op, ranks, payload)
     return rank - 1, spread
 
 
@@ -205,18 +198,13 @@ def _wsum_rank(op, ranks, payload):
     return v - 1, None
 
 
-def _concat_rank(op, ranks, payload):
-    if max(ranks) > 1:
-        raise GraphError(f"{op}: parts must be scalar or vector nodes")
-    return 1, None
-
-
 _RANKS = {
     "add": _broadcast, "sub": _broadcast, "mul": _broadcast,
-    "scale": _scale_rank, "sigmoid": _same, "silu": _same,
-    "affine": _affine_rank, "softmax": _last_axis(True), "logsumexp": _last_axis(False),
-    "pick": _last_axis(False), "dot": _contract, "gauss_logpdf": _contract,
-    "cosine": _cosine, "wsum": _wsum_rank, "concat": _concat_rank,
+    "scale": _same, "sigmoid": _same, "silu": _same,
+    "affine": _affine_rank, "softmax": _keep_last, "logsumexp": _drop_last,
+    "pick": _drop_last, "dot": _contract, "gauss_logpdf": _contract,
+    "cosine": _cosine, "wsum": _wsum_rank,
+    "concat": lambda op, ranks, payload: (1, None),
 }
 
 

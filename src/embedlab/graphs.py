@@ -3,11 +3,14 @@
 Each builder returns a :class:`~embedlab.autodiff.Graph` with placeholders
 named ``"x"`` (and usually ``"c"``), so one graph serves both the embedding
 gradient (reverse sweep to ``c``) and the data-space gradient (reverse sweep
-to ``x``).  A build appends nodes and also evaluates, once, every node whose
-arguments are all constants (see :mod:`embedlab.autodiff`), so a graph over
-constant embeddings, such as the classifier graph rebuilt at every step,
-costs at build time what its forward pass no longer does.  ``GraphCache``
-reuses an ``h_t`` graph within a timestep of a sampling run.
+to ``x``).  Mixture components and prompts are stacked axes of the nodes,
+so a graph has one node per operation however many of either there are.
+A build appends nodes and also evaluates, once, every node whose arguments
+are all constants (see :mod:`embedlab.autodiff`): the classifier graph,
+rebuilt at every guided step, holds the prompt embeddings as one constant,
+so its build folds three stacked nodes (weight logits, component means and
+the logits' log-sum-exps) and its forward pass computes eight.
+``GraphCache`` reuses an ``h_t`` graph within a timestep of a sampling run.
 """
 
 from __future__ import annotations

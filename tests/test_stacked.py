@@ -92,3 +92,16 @@ def test_stacked_rows_alone_match_rows_in_a_batch(n, K, P, d, e, seed, t):
         np.testing.assert_array_equal(gradient(g, "c"), grads[1][i])
         np.testing.assert_array_equal(evaluate(cg, {"x": X[i]}), cvalues[i])
         np.testing.assert_array_equal(gradient(cg, "x"), cgrads[i])
+
+
+def test_graph_sizes_do_not_grow_with_components_or_prompts():
+    """One node per operation: the h_t graph and the classifier graph have
+    as many nodes for K = 5 components and P = 5 prompts as for K = P = 1."""
+    sizes = set()
+    for K, P in ((1, 1), (2, 4), (5, 5)):
+        model, embeddings, priors, h, _ = _problem(K, P, 2, 3, seed=K + P)
+        cosine = h.parts[0][0]
+        sizes.add((len(h_t_graph(model, cosine, 0, 50, SCHED).nodes),
+                   len(classifier_graph([(model, c) for c in embeddings], priors, 0, 50,
+                                        SCHED).nodes)))
+    assert sizes == {(16, 14)}
