@@ -165,6 +165,9 @@ def _primitive_cases(rng):
     def out_silu(g, x):
         return g.dot(g.silu(x), g.constant(ones_d))
 
+    def out_sigmoid(g, x):
+        return g.dot(g.sigmoid(x), g.constant(ones_d))
+
     def out_softmax(g, x):
         return g.pick(g.softmax(x), 2)
 
@@ -204,7 +207,7 @@ def _primitive_cases(rng):
     def out_wsum_scalars(g, x):
         return g.wsum(g.softmax(x), g.dot(g.sub(x, g.constant(W3[0])), g.constant(W3[1])))
 
-    return [out_affine, out_silu, out_softmax, out_logsumexp, out_dot,
+    return [out_affine, out_silu, out_sigmoid, out_softmax, out_logsumexp, out_dot,
             out_cosine, out_gauss, out_gauss_mu, out_mix, out_stacked_gauss,
             out_wsum, out_wsum_scalars]
 
