@@ -23,7 +23,7 @@ each batch row on its own:
 * ``affine``, the reductions (``dot``, ``cosine``, ``softmax``,
   ``logsumexp``, ``gauss_logpdf``), ``pick`` and ``concat`` act on the last
   axis;
-* ``add``, ``sub``, ``mul``, ``dot`` and ``gauss_logpdf`` take operands of
+* ``add``, ``sub``, ``dot`` and ``gauss_logpdf`` take operands of
   equal rank, or broadcast the lower-rank operand, a vector or more but
   never a scalar, over the other's leading stacked axes: the new axes go
   between its batch axes and its row;
@@ -199,7 +199,7 @@ def _wsum_rank(op, ranks, payload):
 
 
 _RANKS = {
-    "add": _broadcast, "sub": _broadcast, "mul": _broadcast,
+    "add": _broadcast, "sub": _broadcast,
     "scale": _same, "sigmoid": _same, "silu": _same,
     "affine": _affine_rank, "softmax": _keep_last, "logsumexp": _drop_last,
     "pick": _drop_last, "dot": _contract, "gauss_logpdf": _contract,
@@ -269,10 +269,6 @@ class Graph:
         broadcasts against its rows."""
         k = _as_array(k)
         return self._append("scale", (a,), {"k": float(k) if k.ndim == 0 else k})
-
-    def mul(self, a, b):
-        """Elementwise product of two nodes."""
-        return self._append("mul", (a, b))
 
     def affine(self, x, weight, bias=None):
         """weight @ x + bias; weight/bias may be ndarrays or Params, and an
@@ -386,7 +382,6 @@ _FORWARD = {
     "add": lambda node, a, b: a + b,
     "sub": lambda node, a, b: a - b,
     "scale": lambda node, a: node.payload["k"] * a,
-    "mul": lambda node, a, b: a * b,
     "affine": _f_affine,
     "sigmoid": lambda node, a: _sigmoid(a),
     "silu": lambda node, a, s: a * s,
@@ -511,7 +506,6 @@ _BACKWARD = {
     "add": lambda node, g, y, a, b: (g, g),
     "sub": lambda node, g, y, a, b: (g, -g),
     "scale": lambda node, g, y, a: (node.payload["k"] * g,),
-    "mul": lambda node, g, y, a, b: (g * b, g * a),
     "affine": _b_affine,
     "sigmoid": lambda node, g, y, a: (g * y * (1.0 - y),),
     "silu": _b_silu,

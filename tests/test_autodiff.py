@@ -187,8 +187,8 @@ def _primitive_cases(rng):
         return g.gauss_logpdf(g.constant(mu), x, var)
 
     def out_mix(g, x):
-        s = g.mul(g.pick(g.softmax(x), 0), g.dot(x, g.constant(mu)))
-        return g.logsumexp(g.concat([s, g.mul(x, x)]))
+        s = g.wsum(g.softmax(x), g.sub(x, g.constant(mu)))
+        return g.logsumexp(g.concat([s, g.silu(x)]))
 
     # stacked rows: x broadcast over 3 stacked (3, d) maps and means
     W3 = rng.standard_normal((3, d, d)) * 0.5
@@ -201,7 +201,7 @@ def _primitive_cases(rng):
         return g.logsumexp(g.add(g.gauss_logpdf(x, mus, var3), g.dot(x, g.sub(mus, x))))
 
     def out_wsum(g, x):
-        pulls = g.mul(g.sub(x, g.constant(M3)), g.silu(g.affine(x, W3)))
+        pulls = g.sub(g.silu(g.affine(x, W3, b3)), g.scale(x, M3[0]))
         return g.dot(g.wsum(g.softmax(g.affine(x, W3[0, :3])), pulls), g.constant(yvec))
 
     def out_wsum_scalars(g, x):
@@ -295,16 +295,17 @@ def test_param_gradients_sum_over_rows():
 
 
 def test_batched_adjoints_reach_constant_subgraphs():
-    """Unbatched constants receive batched adjoints: a pick of a constant
-    takes them, and a Param weight over a constant input accumulates the
-    sum over rows."""
+    """A Param weight over an unbatched constant input takes batched
+    adjoints and accumulates their sum over rows, and the unbatched constant
+    weights of a wsum broadcast over the batch rows."""
     rng = np.random.default_rng(5)
     W = Param(rng.standard_normal((3, 2)))
     cvec = np.array([1.5, -2.0])
     g = Graph()
     x = g.placeholder("x")
     cn = g.constant(cvec)
-    g.mark_output(g.add(g.dot(g.affine(cn, W), x), g.mul(g.pick(cn, 1), g.dot(x, g.constant(np.ones(3))))))
+    parts = g.concat([g.dot(x, g.constant(np.zeros(3))), g.dot(x, g.constant(np.ones(3)))])
+    g.mark_output(g.add(g.dot(g.affine(cn, W), x), g.wsum(cn, parts)))
     X = rng.standard_normal((4, 3))
     evaluate(g, {"x": X})
     np.testing.assert_allclose(gradient(g, "x"), np.tile(W.value @ cvec - 2.0, (4, 1)), rtol=1e-14)
