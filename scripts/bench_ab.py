@@ -13,7 +13,8 @@ its JSON result.  After each workload it prints, per end-to-end metric of
 ``BENCHMARK.json``, each side's median and quartiles, the change's median
 against the parent's, how many pairs the change won, and one verdict:
 
-* ``gain``: the change won at least 9 of 10 pairs and its median differs
+* ``gain``: over at least 10 pairs, the change won at least 9 in 10 of
+  them and its median differs
   from the parent's by more than the parent's interquartile range, and no
   change run failed an op that its parent run of the same seed did not
   (failures are compared by distinct failing op, not by the share of
@@ -32,6 +33,8 @@ test suite in both trees, N alternating pairs.  ``--out`` writes the
 revisions, the machine (from the runs' ``env`` line), the workloads and
 seeds, every pair's values, each metric's medians, quartiles and verdict,
 and the Tier-1 times to a JSON file.  The temporary copy is removed on exit.
+A ``--parent`` whose files equal the working tree's is refused: the runs
+would measure one tree against itself.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ STDERR_TAIL = 20   # lines of a crashed run's stderr to print
 MACHINE_KEYS = ("nproc", "cpu_model", "python", "numpy", "scipy", "blas", "blas_threads",
                 "blas_env")
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")
+MIN_PAIRS = 10     # fewer pairs never give a gain: 2 wins of 2 would pass 9 in 10
 
 
 def parse_seeds(spec):
@@ -76,6 +80,13 @@ def parse_workloads(spec):
 def git(*args):
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def same_tree(rev):
+    """True when the working tree holds exactly rev's files: no tracked
+    file differs from rev and no untracked file is present."""
+    diff = subprocess.run(["git", "diff", "--quiet", rev, "--"], cwd=ROOT).returncode
+    return diff == 0 and not git("ls-files", "--others", "--exclude-standard")
 
 
 def export_tree(rev, dest):
@@ -146,7 +157,8 @@ def verdict(better, bound, pm, cm, parent_iqr, wins, pairs, more_failures):
     worse_by = (cm - pm if better == "lower" else pm - cm) / abs(pm)
     if worse_by > bound:
         return "regression"
-    if 10 * wins >= 9 * pairs and abs(cm - pm) > parent_iqr and not more_failures:
+    if (pairs >= MIN_PAIRS and 10 * wins >= 9 * pairs and abs(cm - pm) > parent_iqr
+            and not more_failures):
         return "gain"
     return "unresolved"
 
@@ -245,6 +257,9 @@ def main(argv=None):
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         metrics = json.load(fh)["end_to_end"]
     rev = git("rev-parse", "--verify", args.parent + "^{commit}")
+    if same_tree(rev):
+        p.error(f"--parent {args.parent} has the working tree's files; name the "
+                "revision before the change")
     if git("diff", "--name-only", rev, "--", "perfbench", "BENCHMARK.json"):
         print("warning: the benchmark differs between the parent and the working tree",
               file=sys.stderr)

@@ -117,7 +117,8 @@ class LinearAlignment:
         self.vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
 
     def value(self, x0, y):
-        return np.asarray(x0, dtype=np.float64) @ self.vectors[int(y)]
+        # vecdot, not a matrix-vector product: each row gets its solo bits
+        return np.vecdot(np.asarray(x0, dtype=np.float64), self.vectors[int(y)])
 
     def emit(self, g, x0_ref, y):
         return g.dot(x0_ref, g.constant(self.vectors[int(y)]))

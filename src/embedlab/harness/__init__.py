@@ -1,5 +1,6 @@
-"""Experiment configuration, execution, metrics, and the command line."""
+"""Experiment configuration, execution, metrics, and the command line.
+run_experiment returns (run, report): a record array, one row per trajectory."""
 
 from .config import ConfigError, ExperimentConfig, load_config, config_from_dict, config_to_dict
 from .metrics import MetricsReport, compute_metrics, gaussian_frechet, paired_ttest
-from .run import TrajectoryRecord, run_experiment
+from .run import run_experiment

@@ -7,9 +7,11 @@ theory-check suite to JSON).  All numeric output is printed and written
 with 9 significant digits; report files contain nothing nondeterministic,
 so identical (config, seed) runs produce byte-identical files.  The one
 exception is records.jsonl, whose per-trajectory wall-clock fields are
-measurements by nature.  A run samples all its trajectories as one batch,
-so every record of a run carries the same wall_clock: the batch's update
-and denoise seconds divided by the number of trajectories.  Every report
+measurements by nature.  records.jsonl holds one line per row of
+run_experiment's record array, its steps in sampling order (t = T first).
+A run samples all its trajectories as one batch, so every record of a run
+carries the same wall_clock: the batch's update and denoise seconds
+divided by the number of trajectories.  Every report
 is written under a temporary name and renamed over its target, so a failed
 command leaves no half-written file.
 """
@@ -87,11 +89,13 @@ def _outdir(cfg):
 
 
 def _record_to_dict(rec):
+    T = len(rec.h)
+    steps = zip(rec.x_t.tolist(), rec.c_t.tolist(), rec.x0_bar.tolist(), rec.h.tolist())
     return {
-        "steps": [{"t": s.t, "x_t": s.x_t.tolist(), "c_t": s.c_t.tolist(),
-                   "x0_bar": s.x0_bar.tolist(), "h": s.h_value} for s in rec.steps],
+        "steps": [{"t": T - k, "x_t": x_t, "c_t": c_t, "x0_bar": x0_bar, "h": h}
+                  for k, (x_t, c_t, x0_bar, h) in enumerate(steps)],
         "final_x0": rec.final_x0.tolist(),
-        "wall_clock": rec.wall_clock,
+        "wall_clock": {"update": float(rec.update_s), "denoise": float(rec.denoise_s)},
     }
 
 
@@ -119,9 +123,9 @@ def cmd_train(args):
 def cmd_sample(args):
     cfg = _load_cfg(args)
     out = _outdir(cfg)
-    records, report = run_experiment(cfg)
+    run, report = run_experiment(cfg)
     with open_atomic(os.path.join(out, "records.jsonl")) as fh:
-        for rec in records:
+        for rec in run:
             fh.write(json.dumps(round9(_record_to_dict(rec))) + "\n")
     write_json(os.path.join(out, "metrics.json"), report.to_dict())
     se = "n/a" if report.se_h is None else _fmt(report.se_h)
@@ -162,9 +166,8 @@ def cmd_compare(args):
     rows = []
     finals = {}
     for method in _COMPARE_METHODS:
-        records, report = run_experiment(_variant(cfg, method))
-        finals[method] = np.asarray([float(h.value(r.final_x0, cfg.prompt))
-                                     for r in records])
+        run, report = run_experiment(_variant(cfg, method))
+        finals[method] = h.value(run.final_x0, cfg.prompt)
         upd = n_updates if (method == "date" or method.startswith("ablation")) else 0
         rows.append((method, report.mean_h, report.se_h if report.se_h is not None else "",
                      report.frechet, sched.T, upd))

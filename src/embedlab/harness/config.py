@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -92,6 +92,34 @@ def _require(cond, path, msg):
         raise ConfigError(f"{path}: {msg}")
 
 
+def _as(conv, v, path):
+    """v converted by conv; a value of the wrong type is a ConfigError
+    naming the key path."""
+    try:
+        return conv(v)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path}: expected {conv.__name__}, got {v!r}") from exc
+
+
+_CONVERT = {"int": int, "float": float, "str": str}
+
+
+def _spec(cls, d, section, **given):
+    """cls built from the config object d at key path `section`.  Fields in
+    `given` come from the caller and absent keys take the field's default;
+    any other value is converted to the type its annotation names, and a
+    null stays null where the annotation allows None."""
+    _check_keys(d, [f.name for f in fields(cls)], section)
+    prefix = "" if section == "config" else section + "."
+    for f in fields(cls):
+        if f.name in d and f.name not in given:
+            v = d[f.name]
+            if v is not None or not f.type.endswith("| None"):
+                v = _as(_CONVERT[f.type.split(" ")[0]], v, prefix + f.name)
+            given[f.name] = v
+    return cls(**given)
+
+
 def _section(d, name):
     v = d.get(name, {})
     _require(isinstance(v, dict), name, "must be an object")
@@ -99,14 +127,9 @@ def _section(d, name):
 
 
 def config_from_dict(raw):
-    _check_keys(raw, ("seed", "schedule", "model", "prompt", "sampler",
-                      "guidance", "date", "h", "n_samples", "out_dir"), "config")
+    _check_keys(raw, [f.name for f in fields(ExperimentConfig)], "config")
 
-    sd = _section(raw, "schedule")
-    _check_keys(sd, ("T", "kind", "beta_lo", "beta_hi"), "schedule")
-    schedule = ScheduleSpec(
-        T=int(sd.get("T", 100)), kind=str(sd.get("kind", "linear")),
-        beta_lo=float(sd.get("beta_lo", 1e-3)), beta_hi=float(sd.get("beta_hi", 0.12)))
+    schedule = _spec(ScheduleSpec, _section(raw, "schedule"), "schedule")
     _require(schedule.T >= 1, "schedule.T", "must be >= 1")
     _require(schedule.kind in ("linear", "constant"), "schedule.kind",
              "must be 'linear' or 'constant'")
@@ -114,11 +137,7 @@ def config_from_dict(raw):
     _require(schedule.beta_lo <= schedule.beta_hi < 1.0, "schedule.beta_hi",
              "must lie in [beta_lo, 1)")
 
-    md = _section(raw, "model")
-    _check_keys(md, ("kind", "task_seed", "checkpoint"), "model")
-    model = ModelSpec(kind=str(md.get("kind", "analytic")),
-                      task_seed=int(md.get("task_seed", 7)),
-                      checkpoint=md.get("checkpoint"))
+    model = _spec(ModelSpec, _section(raw, "model"), "model")
     _require(model.kind in ("analytic", "learned"), "model.kind",
              "must be 'analytic' or 'learned'")
     if model.kind == "learned":
@@ -128,12 +147,12 @@ def config_from_dict(raw):
                  f"file not found: {model.checkpoint}")
 
     hd = _section(raw, "h")
-    _check_keys(hd, ("kind", "seed", "feature_dim", "sign", "weights"), "h")
-    weights = tuple((str(p["kind"]), float(p["weight"]))
-                    for p in (hd.get("weights") or ()))
-    h = HSpec(kind=str(hd.get("kind", "cosine")), seed=int(hd.get("seed", 0)),
-              feature_dim=int(hd.get("feature_dim", 8)),
-              sign=float(hd.get("sign", -1.0)), weights=weights)
+    parts = hd.get("weights") or []
+    _require(isinstance(parts, (list, tuple))
+             and all(isinstance(p, dict) and set(p) == {"kind", "weight"} for p in parts),
+             "h.weights", 'must be a list of {"kind": ..., "weight": ...} objects')
+    h = _spec(HSpec, hd, "h", weights=tuple(
+        (str(p["kind"]), _as(float, p["weight"], "h.weights")) for p in parts))
     _require(h.kind in ("cosine", "quadratic", "composite"), "h.kind",
              "must be 'cosine', 'quadratic', or 'composite'")
     _require(h.sign in (-1.0, 1.0), "h.sign", "must be -1 or +1")
@@ -143,13 +162,8 @@ def config_from_dict(raw):
             _require(kind in ("cosine", "quadratic"), "h.weights",
                      f"unknown part kind {kind!r}")
 
-    gd = _section(raw, "guidance")
-    _check_keys(gd, ("kind", "w", "ablation_kind", "rho"), "guidance")
     try:
-        guidance = GuidanceConfig(
-            kind=str(gd.get("kind", "none")), w=float(gd.get("w", 2.0)),
-            ablation_kind=gd.get("ablation_kind"),
-            rho=None if gd.get("rho") is None else float(gd.get("rho")))
+        guidance = _spec(GuidanceConfig, _section(raw, "guidance"), "guidance")
     except GuidanceError as exc:
         raise ConfigError(f"guidance: {exc}") from exc
     if guidance.kind in ("cfg", "cg", "ug"):
@@ -163,21 +177,14 @@ def config_from_dict(raw):
     elif raw["date"] is not None:
         dd = raw["date"]
         _require(isinstance(dd, dict), "date", "must be an object or null")
-        _check_keys(dd, ("rho", "fraction", "placement", "update_steps",
-                         "origin", "l2_weight", "iters_per_update"), "date")
         steps = dd.get("update_steps")
         if steps is not None:
-            steps = tuple(sorted(int(s) for s in steps))
+            _require(isinstance(steps, (list, tuple)), "date.update_steps",
+                     "must be a list of steps")
+            steps = tuple(sorted(_as(int, s, "date.update_steps") for s in steps))
             _require(all(1 <= s <= schedule.T for s in steps), "date.update_steps",
                      f"steps must lie in 1..{schedule.T}")
-        date = DateSpec(
-            rho=float(dd.get("rho", 0.5)),
-            fraction=float(dd.get("fraction", 0.1)),
-            placement=str(dd.get("placement", "uniform")),
-            update_steps=steps,
-            origin=str(dd.get("origin", "fresh")),
-            l2_weight=float(dd.get("l2_weight", 0.1)),
-            iters_per_update=int(dd.get("iters_per_update", 1)))
+        date = _spec(DateSpec, dd, "date", update_steps=steps)
         _require(np.isfinite(date.rho) and date.rho > 0.0, "date.rho",
                  "must be finite and positive")
         _require(0.0 <= date.fraction <= 1.0, "date.fraction", "must lie in [0, 1]")
@@ -192,12 +199,8 @@ def config_from_dict(raw):
         _require(date is not None, "guidance", "ablations need a date section "
                  "to supply the update schedule")
 
-    cfg = ExperimentConfig(
-        seed=int(raw.get("seed", 0)), schedule=schedule, model=model,
-        prompt=int(raw.get("prompt", 0)), sampler=str(raw.get("sampler", "ddpm")),
-        guidance=guidance, date=date, h=h,
-        n_samples=int(raw.get("n_samples", 16)),
-        out_dir=str(raw.get("out_dir", "out")))
+    cfg = _spec(ExperimentConfig, raw, "config", schedule=schedule, model=model,
+                guidance=guidance, date=date, h=h)
     _require(cfg.sampler in ("ddpm", "alg1", "ddim"), "sampler",
              "must be ddpm/alg1/ddim")
     _require(cfg.n_samples >= 1, "n_samples", "must be >= 1")

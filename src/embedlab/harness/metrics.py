@@ -88,17 +88,15 @@ class MetricsReport:
                 "n_samples": self.n_samples, "config_hash": self.config_hash}
 
 
-def compute_metrics(records, cfg_dict, h, y, true_model, c_true):
-    """Summarize a batch of trajectories against the exact conditional."""
-    if len(records) == 0:
-        raise MetricsError("no trajectory records")
-    finals = np.stack([r.final_x0 for r in records])
+def compute_metrics(finals, h_steps, cfg_dict, h, y, true_model, c_true):
+    """Summarize a run against the exact conditional from its samples,
+    finals (n, d), and h at each step's predicted mean, h_steps (n, T)."""
+    n = len(finals)
+    if n == 0:
+        raise MetricsError("no trajectories")
     hs = np.asarray(h.value(finals, y), dtype=np.float64)
-    n = len(records)
     se = float(np.std(hs, ddof=1) / np.sqrt(n)) if n > 1 else None
-
-    traces = np.stack([[s.h_value for s in r.steps] for r in records])
-    h_trace = tuple(float(v) for v in traces.mean(axis=0))
+    h_trace = tuple(float(v) for v in h_steps.mean(axis=0))
 
     mu_true, cov_true = true_model.moments_x0(c_true)
     mu_fit = finals.mean(axis=0)

@@ -20,7 +20,6 @@ then take the reverse step.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,22 +44,6 @@ class TrajectoryAborted(RuntimeError):
         super().__init__(f"non-finite state in trajectory {trajectory} at step t={t}")
         self.trajectory = trajectory
         self.t = t
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    t: int
-    x_t: np.ndarray
-    c_t: np.ndarray
-    x0_bar: np.ndarray
-    h_value: float
-
-
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    steps: tuple
-    final_x0: np.ndarray
-    wall_clock: dict
 
 
 def build_h(spec, task):
@@ -104,10 +87,13 @@ def build_objects(cfg):
 
 
 def run_experiment(cfg):
-    """Run cfg.n_samples independent trajectories; returns (records, report).
+    """Run cfg.n_samples independent trajectories; returns (run, report).
 
-    The trajectories are sampled as one batch.  Each record's wall_clock
-    holds the batch's update and denoise seconds divided by n_samples.
+    ``run`` is a numpy record array, one row per trajectory.  Per step, in
+    sampling order (t = T first): ``x_t``, ``c_t``, ``x0_bar`` and ``h`` (at
+    x0_bar), so ``run.x_t`` is (n, T, d) and ``r.x_t`` is (T, d) for ``r in
+    run``.  Then ``final_x0``, and ``update_s`` and ``denoise_s``: the
+    batch's update and denoise seconds divided by n_samples.
     """
     task, sched, model, h, date_cfg = build_objects(cfg)
     y = cfg.prompt
@@ -189,14 +175,12 @@ def run_experiment(cfg):
             raise TrajectoryAborted(int(np.argmax(bad)), t)
         t_denoise += time.perf_counter() - tic
 
-    wall_clock = {"update": t_update / n, "denoise": t_denoise / n}
-    hs = np.stack(hs, axis=1).tolist()
-    records = [TrajectoryRecord(
-        steps=tuple(StepRecord(t=T - k, x_t=xs[k][i], c_t=cs[k][i],
-                               x0_bar=x0_bars[k][i], h_value=hs[i][k])
-                    for k in range(T)),
-        final_x0=x[i], wall_clock=dict(wall_clock)) for i in range(n)]
-
-    report = compute_metrics(records, config_to_dict(cfg), h, y,
-                             task.model, c_enc)
-    return records, report
+    hs = np.stack(hs, axis=1)
+    fields = {"x_t": np.stack(xs, axis=1), "c_t": np.stack(cs, axis=1),
+              "x0_bar": np.stack(x0_bars, axis=1), "h": hs, "final_x0": x,
+              "update_s": np.full(n, t_update / n), "denoise_s": np.full(n, t_denoise / n)}
+    run = np.rec.fromarrays(list(fields.values()),
+                            dtype=[(k, a.dtype, a.shape[1:]) for k, a in fields.items()])
+    # from the contiguous arrays: the record array's columns are strided views
+    report = compute_metrics(x, hs, config_to_dict(cfg), h, y, task.model, c_enc)
+    return run, report

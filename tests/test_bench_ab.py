@@ -39,6 +39,13 @@ def test_gain_needs_nine_of_ten_wins_and_a_median_beyond_the_parent_iqr():
     assert _verdicts(runs)["ops_per_s"] == "unresolved"
 
 
+def test_gain_needs_at_least_ten_pairs():
+    runs = [(_run(4.0 + 0.01 * i, 250.0), _run(6.0 + 0.01 * i, 250.0)) for i in range(10)]
+    assert _verdicts(runs)["ops_per_s"] == "gain"
+    assert _verdicts(runs[:9])["ops_per_s"] == "unresolved"
+    assert _verdicts(runs[:2])["ops_per_s"] == "unresolved"
+
+
 def test_small_median_shift_inside_the_parent_iqr_is_unresolved():
     parent = [1.0, 3.0] * 5
     runs = [(_run(p, 100.0), _run(p + 0.1, 100.0)) for p in parent]
@@ -127,25 +134,56 @@ def test_run_not_correct_prints_each_problem_once_with_its_count(tmp_path, capsy
                    "verify ran [], failed ['m1_folded_normal'] (2 times)\n")
 
 
-def test_out_file_records_revisions_machine_pairs_and_tier1(tmp_path, monkeypatch, capsys):
-    repo = tmp_path / "repo"
-    env = {"nproc": 2, "python": "3.11.7", "numpy": "2.4.6", "blas": "scipy-openblas 0.3",
-           "blas_threads": {"libscipy_openblas.so": 1}, "caches": {"L1-Data": "48K"}}
+def _stub_repo(repo, env=None):
+    """A git repo at `repo` with one commit holding a stub run.py and
+    BENCHMARK.json; returns the git command prefix for it."""
     _stub_run_py(repo, dict(_STUB_RESULT, correct=True, failed=0), env)
     (repo / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
     git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(repo)]
     subprocess.run(["git", "init", "-q", str(repo)], check=True)
     subprocess.run(git + ["add", "-A"], check=True)
     subprocess.run(git + ["commit", "-q", "-m", "stub"], check=True)
+    return git
+
+
+def _rev(git, rev):
+    return subprocess.run(git + ["rev-parse", rev], check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def test_parent_with_the_working_trees_files_is_refused(tmp_path, monkeypatch, capsys):
+    repo = tmp_path / "repo"
+    git = _stub_repo(repo)
+    monkeypatch.setattr(bench_ab, "ROOT", str(repo))
+    with pytest.raises(SystemExit) as exc:
+        bench_ab.main(["--workload", "verify", "--seeds", "3"])
+    assert exc.value.code == 2
+    assert "--parent HEAD has the working tree's files" in capsys.readouterr().err
+    # an untracked file is a difference
+    (repo / "new.py").write_text("")
+    assert not bench_ab.same_tree(_rev(git, "HEAD"))
+    (repo / "new.py").unlink()
+    # so is an edit to a tracked file
+    (repo / "BENCHMARK.json").write_text("{}")
+    assert not bench_ab.same_tree(_rev(git, "HEAD"))
+
+
+def test_out_file_records_revisions_machine_pairs_and_tier1(tmp_path, monkeypatch, capsys):
+    repo = tmp_path / "repo"
+    env = {"nproc": 2, "python": "3.11.7", "numpy": "2.4.6", "blas": "scipy-openblas 0.3",
+           "blas_threads": {"libscipy_openblas.so": 1}, "caches": {"L1-Data": "48K"}}
+    git = _stub_repo(repo, env)
+    (repo / "change.txt").write_text("the change\n")
+    subprocess.run(git + ["add", "-A"], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "change"], check=True)
     monkeypatch.setattr(bench_ab, "ROOT", str(repo))
     monkeypatch.setattr(bench_ab, "TIER1", ("-c", "print('1 passed in 0.01s')"))
     out = tmp_path / "BENCH_0.json"
     assert bench_ab.main(["--workload", "verify", "--seeds", "3-4", "--tier1", "1",
-                          "--out", str(out)]) == 0
+                          "--parent", "HEAD~1", "--out", str(out)]) == 0
     rec = json.loads(out.read_text())
-    head = subprocess.run(git + ["rev-parse", "HEAD"], check=True, capture_output=True,
-                          text=True).stdout.strip()
-    assert rec["revisions"] == {"parent": head, "change": head, "change_uncommitted": False}
+    assert rec["revisions"] == {"parent": _rev(git, "HEAD~1"), "change": _rev(git, "HEAD"),
+                                "change_uncommitted": False}
     assert rec["machine"] == {k: v for k, v in env.items() if k != "caches"}
     assert rec["workloads"] == ["verify"] and rec["seeds"] == [3, 4]
     pairs = rec["results"]["verify"]["pairs"]

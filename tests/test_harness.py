@@ -56,6 +56,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match="date.update_steps"):
             config_from_dict({"schedule": {"T": 10}, "date": {"update_steps": [11]}})
 
+    @pytest.mark.parametrize("raw, path", [
+        ({"schedule": {"T": None}}, "schedule.T"),
+        ({"date": {"update_steps": 5}}, "date.update_steps"),
+        ({"date": {"update_steps": [3, "x"]}}, "date.update_steps"),
+        ({"h": {"kind": "composite", "weights": [1]}}, "h.weights"),
+        ({"h": {"kind": "composite", "weights": [{"kind": "cosine"}]}}, "h.weights"),
+        ({"seed": [1]}, "seed"),
+        ({"n_samples": "x"}, "n_samples"),
+        ({"guidance": {"w": {}}}, "guidance.w"),
+        ({"model": {"kind": "learned", "checkpoint": 3}}, "model.checkpoint"),
+    ])
+    def test_wrong_type_names_the_key(self, raw, path):
+        with pytest.raises(ConfigError, match=f"^{path}: "):
+            config_from_dict(raw)
+
     def test_learned_model_requires_existing_checkpoint(self, tmp_path):
         with pytest.raises(ConfigError, match="model.checkpoint"):
             config_from_dict({"model": {"kind": "learned"}})
@@ -135,71 +150,65 @@ class TestPairedTtest:
         assert out["p_two_sided"] > 0.01
 
 
+_T = 30   # small_cfg's steps; step t of a run sits at index _T - t
+
+
 @pytest.fixture(scope="module")
 def small_cfg():
-    return config_from_dict({"n_samples": 6, "schedule": {"T": 30}, "seed": 5})
+    return config_from_dict({"n_samples": 6, "schedule": {"T": _T}, "seed": 5})
 
 
 class TestRunExperiment:
     def test_fixed_embedding_constant_trace(self, small_cfg):
         cfg = dataclasses.replace(small_cfg, date=None)
-        records, report = run_experiment(cfg)
+        run, report = run_experiment(cfg)
         task, sched, _, _, _ = build_objects(cfg)
         c_org = task.embedding(cfg.prompt)
-        for rec in records:
-            assert len(rec.steps) == sched.T
-            for step in rec.steps:
-                np.testing.assert_array_equal(step.c_t, c_org)
+        assert run.c_t.shape == (6, sched.T, c_org.size)
+        np.testing.assert_array_equal(run.c_t, np.broadcast_to(c_org, run.c_t.shape))
         assert report.n_samples == 6
         assert len(report.h_trace) == sched.T
 
     def test_determinism_bit_identical(self, small_cfg):
-        rec_a, rep_a = run_experiment(small_cfg)
-        rec_b, rep_b = run_experiment(small_cfg)
+        run_a, rep_a = run_experiment(small_cfg)
+        run_b, rep_b = run_experiment(small_cfg)
         assert rep_a.mean_h == rep_b.mean_h
         assert rep_a.frechet == rep_b.frechet
-        for a, b in zip(rec_a, rec_b):
-            np.testing.assert_array_equal(a.final_x0, b.final_x0)
-            for sa, sb in zip(a.steps, b.steps):
-                np.testing.assert_array_equal(sa.x_t, sb.x_t)
-                np.testing.assert_array_equal(sa.c_t, sb.c_t)
+        np.testing.assert_array_equal(run_a.final_x0, run_b.final_x0)
+        np.testing.assert_array_equal(run_a.x_t, run_b.x_t)
+        np.testing.assert_array_equal(run_a.c_t, run_b.c_t)
 
     def test_update_steps_change_embedding_only_there(self, small_cfg):
         cfg = dataclasses.replace(
             small_cfg, date=DateSpec(rho=0.5, update_steps=(10, 20)))
-        records, _ = run_experiment(cfg)
+        run, _ = run_experiment(cfg)
         task, _, _, _, _ = build_objects(cfg)
         c_org = task.embedding(cfg.prompt)
-        for rec in records:
-            for step in rec.steps:
-                if step.t in (10, 20):
-                    assert np.linalg.norm(step.c_t - c_org) == pytest.approx(0.5, rel=1e-9)
+        dist = np.linalg.norm(run.c_t - c_org, axis=-1)
+        for t in (10, 20):
+            np.testing.assert_allclose(dist[:, _T - t], 0.5, rtol=1e-9)
         # between updates the embedding persists
-        rec = records[0]
-        by_t = {s.t: s.c_t for s in rec.steps}
-        np.testing.assert_array_equal(by_t[15], by_t[20])
-        np.testing.assert_array_equal(by_t[5], by_t[10])
+        c_t = run.c_t[0]
+        np.testing.assert_array_equal(c_t[_T - 15], c_t[_T - 20])
+        np.testing.assert_array_equal(c_t[_T - 5], c_t[_T - 10])
 
     def test_fresh_origin_ball_invariant(self, small_cfg):
         cfg = dataclasses.replace(
             small_cfg, date=DateSpec(rho=0.4, fraction=1.0, placement="all"))
-        records, _ = run_experiment(cfg)
+        run, _ = run_experiment(cfg)
         task, _, _, _, _ = build_objects(cfg)
         c_org = task.embedding(cfg.prompt)
-        for rec in records:
-            for step in rec.steps:
-                assert np.linalg.norm(step.c_t - c_org) <= 0.4 * (1 + 1e-9)
+        assert np.all(np.linalg.norm(run.c_t - c_org, axis=-1) <= 0.4 * (1 + 1e-9))
 
     def test_previous_origin_k_rho_invariant(self, small_cfg):
         cfg = dataclasses.replace(
             small_cfg,
             date=DateSpec(rho=0.4, fraction=1.0, placement="all", origin="previous"))
-        records, _ = run_experiment(cfg)
+        run, _ = run_experiment(cfg)
         task, _, _, _, _ = build_objects(cfg)
         c_org = task.embedding(cfg.prompt)
-        for rec in records:
-            for k, step in enumerate(rec.steps, start=1):
-                assert np.linalg.norm(step.c_t - c_org) <= 0.4 * k * (1 + 1e-9)
+        k = np.arange(1, _T + 1)          # updates made up to each step
+        assert np.all(np.linalg.norm(run.c_t - c_org, axis=-1) <= 0.4 * k * (1 + 1e-9))
 
     def test_paired_streams_isolate_method(self, small_cfg):
         """Fixed and adaptive runs at one seed share every noise draw, so
@@ -209,12 +218,10 @@ class TestRunExperiment:
                                     date=DateSpec(rho=0.5, update_steps=(15,)))
         rf, _ = run_experiment(fixed)
         rd, _ = run_experiment(dated)
-        for a, b in zip(rf, rd):
-            ta = {s.t: s.x_t for s in a.steps}
-            tb = {s.t: s.x_t for s in b.steps}
-            for t in range(30, 15, -1):
-                np.testing.assert_array_equal(ta[t], tb[t])
-            assert not np.array_equal(ta[14], tb[14])
+        # steps t = 30 .. 16
+        np.testing.assert_array_equal(rf.x_t[:, :_T - 15], rd.x_t[:, :_T - 15])
+        for a, b in zip(rf.x_t[:, _T - 14], rd.x_t[:, _T - 14]):
+            assert not np.array_equal(a, b)
 
     def test_samplers_run(self, small_cfg):
         for sampler in ("ddpm", "alg1", "ddim"):
@@ -271,30 +278,48 @@ class TestRunExperiment:
         assert 1 <= exc.value.t <= 20
 
 
+class TestRunArrays:
+    """compare scores a run's finals with one h.value call on the record
+    array's final_x0 column, a strided view; every row must get the bits
+    it gets alone."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        run, _ = run_experiment(config_from_dict(
+            {"n_samples": 64, "schedule": {"T": 5}, "seed": 9, "date": None}))
+        return run
+
+    def test_rows_match_the_columns(self, run):
+        assert not run.final_x0.flags.c_contiguous
+        np.testing.assert_array_equal(np.stack([r.final_x0 for r in run]), run.final_x0,
+                                      strict=True)
+        np.testing.assert_array_equal(np.stack([r.h for r in run]), run.h, strict=True)
+
+    @pytest.mark.parametrize("kind", ["cosine", "quadratic", "linear", "composite"])
+    def test_h_value_on_a_batch_is_each_row_alone(self, run, kind):
+        from embedlab.alignment import (CompositeAlignment, CosineAlignment,
+                                        LinearAlignment, QuadraticAlignment)
+        task = default_task()
+        cos = CosineAlignment.for_task(task)
+        quad = QuadraticAlignment.for_task(task)
+        lin = LinearAlignment(np.random.default_rng(4).standard_normal((task.n_prompts, 2)))
+        h = {"cosine": cos, "quadratic": quad, "linear": lin,
+             "composite": CompositeAlignment([(cos, 0.7), (quad, 0.3), (lin, -1.2)])}[kind]
+        for batch in (np.ascontiguousarray(run.final_x0), run.final_x0):
+            rows = np.array([h.value(x, 1) for x in batch])
+            assert h.value(batch, 1).tobytes() == rows.tobytes()
+
+
 class TestComputeMetrics:
     def test_self_distance_near_zero(self, small_cfg):
         """Moment fit of direct samples from the true conditional."""
-
-        class FakeRecord:
-            def __init__(self, x):
-                self.final_x0 = x
-                self.steps = [dataclasses.replace_me] if False else []
-
         task = default_task()
         rng = np.random.default_rng(3)
         c = task.embedding(0)
         xs = task.model.sample_x0(c, 10_000, rng)
-
-        @dataclasses.dataclass
-        class Rec:
-            final_x0: np.ndarray
-            steps: tuple
-
-        from embedlab.harness.run import StepRecord
-        recs = [Rec(final_x0=x, steps=(StepRecord(1, x, c, x, 0.0),)) for x in xs]
         from embedlab.alignment import CosineAlignment
         h = CosineAlignment.for_task(task)
-        report = compute_metrics(recs, {"cfg": 1}, h, 0, task.model, c)
+        report = compute_metrics(xs, np.zeros((len(xs), 1)), {"cfg": 1}, h, 0, task.model, c)
         assert report.frechet < 0.01
 
     def test_single_record_se_absent(self, small_cfg):
@@ -307,8 +332,8 @@ class TestComputeMetrics:
         task = default_task()
         from embedlab.alignment import CosineAlignment
         with pytest.raises(MetricsError):
-            compute_metrics([], {}, CosineAlignment.for_task(task), 0,
-                            task.model, task.embedding(0))
+            compute_metrics(np.zeros((0, 2)), np.zeros((0, 1)), {},
+                            CosineAlignment.for_task(task), 0, task.model, task.embedding(0))
 
 
 class TestCli:
