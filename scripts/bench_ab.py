@@ -14,9 +14,9 @@ its JSON result.  After each workload it prints, per end-to-end metric of
 against the parent's, how many pairs the change won, and one verdict:
 
 * ``gain``: over at least 10 pairs, the change won at least 9 in 10 of
-  them and its median differs
-  from the parent's by more than the parent's interquartile range, and no
-  change run failed an op that its parent run of the same seed did not
+  them, its median differs from the parent's by more than the parent's
+  interquartile range, and no change run failed an op that its parent
+  run of the same seed did not
   (failures are compared by distinct failing op, not by the share of
   failed ops: a run's fixed time ends anywhere in a cycle, so an op that
   fails once per cycle on both sides would give a faster change a larger

@@ -110,7 +110,8 @@ def test_abort_names_the_trajectory_that_blows_up(tmp_path):
 
     # with a zero score the states are those the exploding net sees until it fires
     calm, _ = run_experiment(cfg(_zero_weights, "zero.json"))
-    first_positive = [next((6 - k for k, x in enumerate(rec.x_t) if x[0] > 0.0), None)
+    steps = raw["schedule"]["T"]     # step t sits at index steps - t
+    first_positive = [next((steps - k for k, x in enumerate(rec.x_t) if x[0] > 0.0), None)
                       for rec in calm]
     assert first_positive[0] is None and first_positive[2] is None
     t_boom = first_positive[1]
