@@ -46,7 +46,6 @@ from .update import (
     date_update,
     grad_h_t_wrt_c,
     multi_iter_update,
-    select_origin,
 )
 from .guidance import GuidanceConfig, ablation_update, cfg_score, cg_score, classifier_grad, ug_score
 from .verify import ALL_CHECKS, run_checks

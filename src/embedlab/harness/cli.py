@@ -11,9 +11,13 @@ measurements by nature.  records.jsonl holds one line per row of
 run_experiment's record array, its steps in sampling order (t = T first).
 A run samples all its trajectories as one batch, so every record of a run
 carries the same wall_clock: the batch's update and denoise seconds
-divided by the number of trajectories.  Every report
-is written under a temporary name and renamed over its target, so a failed
-command leaves no half-written file.
+divided by the number of trajectories.  compare and sweep sample their
+variants (the eight methods, or one config per swept value) as one batch
+with run_variants: every variant at the same noise, each bit for bit its
+solo run.  sweep checks every value's config before it samples any, and
+a bad value names --param and the value.  Every report is written under a
+temporary name and renamed over its target, so a failed command leaves no
+half-written file.
 """
 
 from __future__ import annotations
@@ -29,9 +33,9 @@ import numpy as np
 from ..fileio import open_atomic
 from ..models import ScoreNet, save_checkpoint, train_dsm
 from ..verify import ALL_CHECKS, run_checks
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, config_from_dict, config_to_dict, load_config
 from .metrics import paired_ttest
-from .run import build_objects, run_experiment
+from .run import build_objects, run_experiment, run_variants
 
 
 def _fmt(v):
@@ -165,8 +169,8 @@ def cmd_compare(args):
     n_updates = len(date_cfg.update_steps)
     rows = []
     finals = {}
-    for method in _COMPARE_METHODS:
-        run, report = run_experiment(_variant(cfg, method))
+    results = run_variants([_variant(cfg, method) for method in _COMPARE_METHODS])
+    for method, (run, report) in zip(_COMPARE_METHODS, results):
         finals[method] = h.value(run.final_x0, cfg.prompt)
         upd = n_updates if (method == "date" or method.startswith("ablation")) else 0
         rows.append((method, report.mean_h, report.se_h if report.se_h is not None else "",
@@ -191,30 +195,35 @@ def cmd_compare(args):
 _SWEEP_PARAMS = ("rho", "fraction", "placement", "iters")
 
 
+def _sweep_variant(cfg, param, raw):
+    """cfg with its date section's `param` set to the string `raw`, checked
+    as a config file's value would be; a bad value is a ConfigError naming
+    --param and the value."""
+    raw_cfg = config_to_dict(cfg)
+    date = raw_cfg["date"]
+    key = "iters_per_update" if param == "iters" else param
+    date[key] = raw
+    if param in ("fraction", "placement"):
+        date["update_steps"] = None
+    try:
+        return config_from_dict(raw_cfg)
+    except ConfigError as exc:
+        raise ConfigError(f"--param {param}: bad value {raw!r} ({exc})") from exc
+
+
 def cmd_sweep(args):
     cfg = _load_cfg(args)
     if cfg.date is None:
         raise ConfigError("sweep needs a date section in the config")
     if args.param not in _SWEEP_PARAMS:
         raise ConfigError(f"--param must be one of {_SWEEP_PARAMS}")
-    out = _outdir(cfg)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("--values is empty")
-    rows = []
-    for raw in values:
-        date = cfg.date
-        if args.param == "rho":
-            date = dataclasses.replace(date, rho=float(raw))
-        elif args.param == "fraction":
-            date = dataclasses.replace(date, fraction=float(raw), update_steps=None)
-        elif args.param == "placement":
-            date = dataclasses.replace(date, placement=raw, update_steps=None)
-        else:
-            date = dataclasses.replace(date, iters_per_update=int(raw))
-        _, report = run_experiment(dataclasses.replace(cfg, date=date))
-        rows.append((raw, report.mean_h,
-                     report.se_h if report.se_h is not None else "", report.frechet))
+    variants = [_sweep_variant(cfg, args.param, raw) for raw in values]
+    out = _outdir(cfg)
+    rows = [(raw, report.mean_h, report.se_h if report.se_h is not None else "", report.frechet)
+            for raw, (_, report) in zip(values, run_variants(variants))]
     path = os.path.join(out, "sweep.csv")
     write_csv(path, [args.param, "mean_h", "se_h", "frechet"], rows)
     for row in rows:

@@ -1,9 +1,10 @@
 """Experiment configuration: JSON in, validated dataclasses out.
 
 Loading is strict: unknown keys and duplicate keys are rejected with the
-offending key path, and a value of the wrong type or outside a checked
-range names the key that caused it.  Serialization materializes all defaults, so load -> serialize -> load
-is the identity.
+offending key path, and a value of the wrong type (a bool, or a float with
+a fractional part, where an integer belongs) or outside a checked range
+names the key that caused it.  Serialization materializes all defaults, so
+load -> serialize -> load is the identity.
 """
 
 from __future__ import annotations
@@ -92,16 +93,24 @@ def _require(cond, path, msg):
         raise ConfigError(f"{path}: {msg}")
 
 
-def _as(conv, v, path):
-    """v converted by conv; a value of the wrong type is a ConfigError
-    naming the key path."""
+def _int(v):
+    """int(v), refusing what int() would silently truncate or reinterpret:
+    a float with a fractional part, or a bool."""
+    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+        raise TypeError(v)
+    return int(v)
+
+
+_CONVERT = {"int": _int, "float": float, "str": str}
+
+
+def _as(kind, v, path):
+    """v converted to the type named `kind`; a value of the wrong type is a
+    ConfigError naming the key path."""
     try:
-        return conv(v)
+        return _CONVERT[kind](v)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{path}: expected {conv.__name__}, got {v!r}") from exc
-
-
-_CONVERT = {"int": int, "float": float, "str": str}
+        raise ConfigError(f"{path}: expected {kind}, got {v!r}") from exc
 
 
 def _spec(cls, d, section, **given):
@@ -115,7 +124,7 @@ def _spec(cls, d, section, **given):
         if f.name in d and f.name not in given:
             v = d[f.name]
             if v is not None or not f.type.endswith("| None"):
-                v = _as(_CONVERT[f.type.split(" ")[0]], v, prefix + f.name)
+                v = _as(f.type.split(" ")[0], v, prefix + f.name)
             given[f.name] = v
     return cls(**given)
 
@@ -136,6 +145,7 @@ def config_from_dict(raw):
              "must lie in [beta_lo, 1)")
 
     model = _spec(ModelSpec, _section(raw, "model"), "model")
+    _require(model.task_seed >= 0, "model.task_seed", "must be >= 0")
     _require(model.kind in ("analytic", "learned"), "model.kind",
              "must be 'analytic' or 'learned'")
     if model.kind == "learned":
@@ -150,10 +160,12 @@ def config_from_dict(raw):
              and all(isinstance(p, dict) and set(p) == {"kind", "weight"} for p in parts),
              "h.weights", 'must be a list of {"kind": ..., "weight": ...} objects')
     h = _spec(HSpec, hd, "h", weights=tuple(
-        (str(p["kind"]), _as(float, p["weight"], "h.weights")) for p in parts))
+        (str(p["kind"]), _as("float", p["weight"], "h.weights")) for p in parts))
     _require(h.kind in ("cosine", "quadratic", "composite"), "h.kind",
              "must be 'cosine', 'quadratic', or 'composite'")
     _require(h.sign in (-1.0, 1.0), "h.sign", "must be -1 or +1")
+    _require(h.seed >= 0, "h.seed", "must be >= 0")
+    _require(h.feature_dim >= 1, "h.feature_dim", "must be >= 1")
     if h.kind == "composite":
         _require(len(h.weights) > 0, "h.weights", "composite needs parts")
         for kind, _ in h.weights:
@@ -179,7 +191,7 @@ def config_from_dict(raw):
         if steps is not None:
             _require(isinstance(steps, (list, tuple)), "date.update_steps",
                      "must be a list of steps")
-            steps = tuple(sorted(_as(int, s, "date.update_steps") for s in steps))
+            steps = tuple(sorted(_as("int", s, "date.update_steps") for s in steps))
             _require(all(1 <= s <= schedule.T for s in steps), "date.update_steps",
                      f"steps must lie in 1..{schedule.T}")
         date = _spec(DateSpec, dd, "date", update_steps=steps)
@@ -201,6 +213,7 @@ def config_from_dict(raw):
                 guidance=guidance, date=date, h=h)
     _require(cfg.sampler in ("ddpm", "alg1", "ddim"), "sampler",
              "must be ddpm/alg1/ddim")
+    _require(cfg.seed >= 0, "seed", "must be >= 0")
     _require(cfg.n_samples >= 1, "n_samples", "must be >= 1")
     _require(cfg.prompt >= 0, "prompt", "must be a nonnegative prompt id")
     return cfg

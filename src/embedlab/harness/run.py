@@ -12,6 +12,13 @@ single step loop.  Every batched computation treats each row exactly as it
 would treat that row alone, so trajectory i is bit-for-bit the same in a
 run of any size above i.
 
+Configs that differ only in their update settings and guidance (a sweep's
+values, a comparison's methods) run as one batch too: run_variants stacks
+variant v's trajectory i as row v*n + i.  Every variant reuses trajectory
+i's noise, and each step makes one call per kind of work (update, score,
+unconditional score, guidance term) over the rows that need it, so a
+variant's rows are bit-for-bit its solo run.
+
 Per step the order is: update the embedding (when scheduled), form the
 step score (plain, guided, or composed), record the predicted clean mean,
 then take the reverse step.
@@ -20,6 +27,7 @@ then take the reverse step.
 from __future__ import annotations
 
 import time
+from dataclasses import fields
 
 import numpy as np
 
@@ -28,7 +36,7 @@ from ..graphs import GraphCache
 from ..guidance import ablation_update, cfg_score, cg_score, classifier_grad, ug_score
 from ..models import default_task, load_checkpoint, unconditional_score
 from ..schedules import make_schedule, step_alg1, step_ddim, step_ddpm
-from ..update import DateConfig, build_update_schedule, multi_iter_update, select_origin
+from ..update import DateConfig, DateRows, build_update_schedule, multi_iter_update
 from .config import ConfigError, config_to_dict
 from .metrics import compute_metrics
 
@@ -36,12 +44,15 @@ from .metrics import compute_metrics
 class TrajectoryAborted(RuntimeError):
     """A sampling trajectory produced a non-finite state.
 
-    Names the earliest step at which any trajectory's state is non-finite,
-    and the lowest-numbered trajectory among those at that step.
+    Names the earliest step at which any row's state is non-finite, and the
+    first row among those at that step: its variant and its trajectory
+    within the variant.
     """
 
-    def __init__(self, trajectory, t):
-        super().__init__(f"non-finite state in trajectory {trajectory} at step t={t}")
+    def __init__(self, trajectory, t, variant=0):
+        super().__init__(f"non-finite state in variant {variant}, trajectory {trajectory} "
+                         f"at step t={t}")
+        self.variant = variant
         self.trajectory = trajectory
         self.t = t
 
@@ -63,6 +74,17 @@ def build_h(spec, task):
     raise ConfigError(f"unknown h kind {spec.kind!r}")
 
 
+def _date_config(cfg):
+    if cfg.date is None:
+        return None
+    if cfg.date.update_steps is not None:
+        steps = frozenset(cfg.date.update_steps)
+    else:
+        steps = build_update_schedule(cfg.schedule.T, cfg.date.fraction, cfg.date.placement)
+    return DateConfig(rho=cfg.date.rho, update_steps=steps, origin=cfg.date.origin,
+                      l2_weight=cfg.date.l2_weight, iters_per_update=cfg.date.iters_per_update)
+
+
 def build_objects(cfg):
     """Materialize the runtime pieces an experiment needs from its config."""
     task = default_task(seed=cfg.model.task_seed)
@@ -72,18 +94,7 @@ def build_objects(cfg):
         model = load_checkpoint(cfg.model.checkpoint)
     else:
         model = task.model
-    h = build_h(cfg.h, task)
-    date_cfg = None
-    if cfg.date is not None:
-        if cfg.date.update_steps is not None:
-            steps = frozenset(cfg.date.update_steps)
-        else:
-            steps = build_update_schedule(cfg.schedule.T, cfg.date.fraction,
-                                          cfg.date.placement)
-        date_cfg = DateConfig(rho=cfg.date.rho, update_steps=steps,
-                              origin=cfg.date.origin, l2_weight=cfg.date.l2_weight,
-                              iters_per_update=cfg.date.iters_per_update)
-    return task, sched, model, h, date_cfg
+    return task, sched, model, build_h(cfg.h, task), _date_config(cfg)
 
 
 def run_experiment(cfg):
@@ -95,66 +106,135 @@ def run_experiment(cfg):
     run``.  Then ``final_x0``, and ``update_s`` and ``denoise_s``: the
     batch's update and denoise seconds divided by n_samples.
     """
-    task, sched, model, h, date_cfg = build_objects(cfg)
-    y = cfg.prompt
+    return run_variants([cfg])[0]
+
+
+def _rows(mask, n):
+    """Row selector for the variants where the list mask holds: all rows as
+    a slice (a view), some as an index array, none as None."""
+    if all(mask):
+        return slice(None)
+    if not any(mask):
+        return None
+    return np.flatnonzero(np.repeat(mask, n))
+
+
+def run_variants(cfgs):
+    """Run configs that differ only in date and guidance as one batch;
+    returns one (run, report) per config, each as run_experiment(cfg)
+    returns it, bit for bit.
+
+    Row v*n + i is variant v's trajectory i.  All variants consume
+    trajectory i's pre-drawn noise, and each gets fresh generators from
+    trajectory i's method stream.  Per step there is one call per kind of
+    work: one multi_iter_update over the rows whose variant updates at t
+    (per-row rho, iteration count and origin), one ablation_update per
+    ablation kind, one model.score over the plain, ablation and cfg rows,
+    one unconditional_score over the cfg, cg and ug rows, one
+    classifier_grad over the cg rows and one ug_score over the ug rows.
+    Any difference besides date and guidance is a ConfigError naming the
+    field.  update_s and denoise_s are the batch's seconds over its rows.
+    """
+    cfgs = list(cfgs)
+    if not cfgs:
+        raise ConfigError("run_variants needs at least one config")
+    base = cfgs[0]
+    for f in fields(base):
+        if f.name in ("date", "guidance"):
+            continue
+        for v, cfg in enumerate(cfgs[1:], 1):
+            if getattr(cfg, f.name) != getattr(base, f.name):
+                raise ConfigError(f"{f.name}: variant {v} differs from variant 0; "
+                                  "variants may differ only in date and guidance")
+    task, sched, model, h, _ = build_objects(base)
+    y = base.prompt
     if y >= task.n_prompts:
         raise ConfigError(f"prompt: id {y} outside 0..{task.n_prompts - 1}")
+    # a variant without a date section never updates: its schedule is empty
+    dates = [_date_config(cfg) or DateConfig() for cfg in cfgs]
+    guides = [cfg.guidance for cfg in cfgs]
     c_enc = task.embedding(y)
     T = sched.T
-    n = cfg.n_samples
+    n = base.n_samples
+    V = len(cfgs)
+    R = V * n
     d = model.data_dim
     conditionals = task.conditionals()
     priors = task.priors
-    guidance = cfg.guidance
     cache = GraphCache()
 
-    update_steps = date_cfg.update_steps if date_cfg is not None else frozenset()
-    abl_rho = None
-    if guidance.kind == "ablation":
-        abl_rho = guidance.rho if guidance.rho is not None else date_cfg.rho
-
-    streams = [np.random.SeedSequence(entropy=cfg.seed, spawn_key=(i,)).spawn(2)
+    streams = [np.random.SeedSequence(entropy=base.seed, spawn_key=(i,)).spawn(2)
                for i in range(n)]
-    # noise[k, i] is trajectory i's k-th draw: the prior, then one per step
-    noise = np.stack([np.random.default_rng(ns).standard_normal((T + 1, d))
-                      for ns, _ in streams], axis=1)
-    method_rngs = [np.random.default_rng(ms) for _, ms in streams]
+    # noise[k, v*n + i] is trajectory i's k-th draw: the prior, then one per step
+    noise = np.tile(np.stack([np.random.default_rng(ns).standard_normal((T + 1, d))
+                              for ns, _ in streams], axis=1), (1, V, 1))
+    method_rngs = np.empty(R, dtype=object)
+    method_rngs[:] = [np.random.default_rng(ms) if g.kind == "ablation" else None
+                      for g in guides for _, ms in streams]
+
+    # which rows do what, and each row's settings
+    def rows_of(pred):
+        return _rows([pred(g) for g in guides], n)
+
+    conditional = rows_of(lambda g: g.kind in ("none", "ablation", "cfg"))
+    unconditional = rows_of(lambda g: g.kind in ("cfg", "cg", "ug"))
+    # cfg_score returns an input itself at w = 0 and w = 1, so w stays a scalar
+    cfg_rows = {w: rows_of(lambda g: g.kind == "cfg" and g.w == w)
+                for w in dict.fromkeys(g.w for g in guides if g.kind == "cfg")}
+    cg_rows = rows_of(lambda g: g.kind == "cg")
+    ug_rows = rows_of(lambda g: g.kind == "ug")
+    w_col = np.repeat([g.w for g in guides], n)[:, None]
+    ablations = tuple(dict.fromkeys(g.ablation_kind for g in guides if g.kind == "ablation"))
+    date_rows = DateRows.repeat(dates, n)
+    abl_rho = np.repeat([dc.rho if g.rho is None else g.rho for dc, g in zip(dates, guides)],
+                        n)[:, None]
+    fresh = np.repeat([dc.origin == "fresh" for dc in dates], n)[:, None]
 
     x = noise[0].copy()
-    c_rows = np.tile(c_enc, (n, 1))
-    c = c_rows
-    c_prev = None
+    c = np.tile(c_enc, (R, 1))
     xs, cs, x0_bars, hs = [], [], [], []
     t_update = 0.0
     t_denoise = 0.0
 
     for t in range(T, 0, -1):
-        if t in update_steps:
+        due = [t in dc.update_steps for dc in dates]
+        if any(due):
             tic = time.perf_counter()
-            origin = select_origin(date_cfg.origin, c_prev, c_rows)
-            if guidance.kind == "ablation":
-                c = ablation_update(guidance.ablation_kind, x, origin, t,
-                                    abl_rho, model, sched, h, y,
-                                    method_rngs, cache=cache)
-            else:
-                c = multi_iter_update(x, origin, t, date_cfg, model, sched,
-                                      h, y, c_encoder=c_enc, cache=cache)
-            c_prev = c
+            # fresh rows start from the encoder output, previous ones from c
+            origin = np.where(fresh, c_enc, c)
+            c = c.copy()
+            dated = [u and g.kind != "ablation" for u, g in zip(due, guides)]
+            rows = _rows(dated, n)
+            if rows is not None:
+                # rows that share one DateConfig take its scalar settings
+                shared = {dc for dc, u in zip(dates, dated) if u}
+                settings = shared.pop() if len(shared) == 1 else date_rows[rows]
+                c[rows] = multi_iter_update(x[rows], origin[rows], t, settings, model, sched,
+                                            h, y, c_encoder=c_enc, cache=cache)
+            for a in ablations:
+                rows = _rows([u and g.ablation_kind == a for u, g in zip(due, guides)], n)
+                if rows is not None:
+                    c[rows] = ablation_update(a, x[rows], origin[rows], t, abl_rho[rows],
+                                              model, sched, h, y, method_rngs[rows],
+                                              cache=cache)
             t_update += time.perf_counter() - tic
 
         tic = time.perf_counter()
-        if guidance.kind in ("cfg", "cg", "ug"):
-            s_uncond = unconditional_score(conditionals, priors, x, t, sched)
-            if guidance.kind == "cfg":
-                s = cfg_score(model.score(x, c, t, sched), s_uncond, guidance.w)
-            elif guidance.kind == "cg":
-                grad = classifier_grad(conditionals, priors, y, x, t, sched)
-                s = cg_score(s_uncond, grad, guidance.w)
-            else:
-                s = ug_score(s_uncond, x, c, t, model, sched, h, y,
-                             guidance.w, cache=cache)
-        else:
-            s = model.score(x, c, t, sched)
+        s = np.empty_like(x)
+        if conditional is not None:
+            s[conditional] = model.score(x[conditional], c[conditional], t, sched)
+        if unconditional is not None:
+            s_uncond = np.empty_like(x)
+            s_uncond[unconditional] = unconditional_score(conditionals, priors,
+                                                          x[unconditional], t, sched)
+            for w, rows in cfg_rows.items():
+                s[rows] = cfg_score(s[rows], s_uncond[rows], w)
+            if cg_rows is not None:
+                grad = classifier_grad(conditionals, priors, y, x[cg_rows], t, sched)
+                s[cg_rows] = cg_score(s_uncond[cg_rows], grad, w_col[cg_rows])
+            if ug_rows is not None:
+                s[ug_rows] = ug_score(s_uncond[ug_rows], x[ug_rows], c[ug_rows], t, model,
+                                      sched, h, y, w_col[ug_rows], cache=cache)
 
         ab = sched.alpha_bar(t)
         x0_bar = (x + (1.0 - ab) * s) / np.sqrt(ab)
@@ -163,24 +243,31 @@ def run_experiment(cfg):
         x0_bars.append(x0_bar)
         hs.append(h.value(x0_bar, y))
 
-        if cfg.sampler == "ddpm":
-            z = noise[t] if t > 1 else np.zeros((n, d))
+        if base.sampler == "ddpm":
+            z = noise[t] if t > 1 else np.zeros((R, d))
             x = step_ddpm(x, s, t, z, sched)
-        elif cfg.sampler == "alg1":
+        elif base.sampler == "alg1":
             x = step_alg1(x, s, t, sched)
         else:  # ddim, eta = 0
             x = step_ddim(x, x0_bar, t, t - 1, sched)
         bad = ~np.all(np.isfinite(x), axis=-1)
         if bad.any():
-            raise TrajectoryAborted(int(np.argmax(bad)), t)
+            row = int(np.argmax(bad))
+            raise TrajectoryAborted(row % n, t, variant=row // n)
         t_denoise += time.perf_counter() - tic
 
     hs = np.stack(hs, axis=1)
-    fields = {"x_t": np.stack(xs, axis=1), "c_t": np.stack(cs, axis=1),
-              "x0_bar": np.stack(x0_bars, axis=1), "h": hs, "final_x0": x,
-              "update_s": np.full(n, t_update / n), "denoise_s": np.full(n, t_denoise / n)}
-    run = np.rec.fromarrays(list(fields.values()),
-                            dtype=[(k, a.dtype, a.shape[1:]) for k, a in fields.items()])
-    # from the contiguous arrays: the record array's columns are strided views
-    report = compute_metrics(x, hs, config_to_dict(cfg), h, y, task.model, c_enc)
-    return run, report
+    steps = {"x_t": np.stack(xs, axis=1), "c_t": np.stack(cs, axis=1),
+             "x0_bar": np.stack(x0_bars, axis=1), "h": hs, "final_x0": x}
+    timing = {"update_s": np.full(n, t_update / R), "denoise_s": np.full(n, t_denoise / R)}
+    out = []
+    for v, cfg in enumerate(cfgs):
+        block = slice(v * n, (v + 1) * n)
+        cols = {k: a[block] for k, a in steps.items()} | timing
+        run = np.rec.fromarrays(list(cols.values()),
+                                dtype=[(k, a.dtype, a.shape[1:]) for k, a in cols.items()])
+        # from contiguous row blocks: the record array's columns are strided views
+        report = compute_metrics(x[block], hs[block], config_to_dict(cfg), h, y,
+                                 task.model, c_enc)
+        out.append((run, report))
+    return out

@@ -44,6 +44,36 @@ class DateConfig:
             raise UpdateError("iters_per_update must be >= 1")
         object.__setattr__(self, "update_steps", frozenset(int(t) for t in self.update_steps))
 
+    @property
+    def anchored(self):
+        """Whether the update pulls toward the encoder embedding."""
+        return self.origin == "previous" and self.l2_weight > 0.0
+
+
+@dataclass(frozen=True)
+class DateRows:
+    """The DateConfigs of a batch's rows, one per row, as columns.
+
+    ``rho`` and ``l2_weight`` are (rows, 1), ``iters_per_update`` and
+    ``anchored`` (rows,).  ``rho * grad`` has the bits of a scalar rho per
+    element, so a row updates as it would under its own DateConfig.
+    """
+    rho: np.ndarray
+    l2_weight: np.ndarray
+    iters_per_update: np.ndarray
+    anchored: np.ndarray
+
+    @classmethod
+    def repeat(cls, cfgs, n):
+        """Each DateConfig of cfgs over n consecutive rows."""
+        col = lambda name: np.repeat([getattr(c, name) for c in cfgs], n)
+        return cls(rho=col("rho")[:, None], l2_weight=col("l2_weight")[:, None],
+                   iters_per_update=col("iters_per_update"), anchored=col("anchored"))
+
+    def __getitem__(self, rows):
+        return DateRows(self.rho[rows], self.l2_weight[rows],
+                        self.iters_per_update[rows], self.anchored[rows])
+
 
 @dataclass(frozen=True)
 class UpdateDirection:
@@ -89,14 +119,16 @@ def date_update(x_t, c_org, t, cfg, model, sched, h, y, c_encoder=None, cache=No
     under "fresh" the regularizer is inactive (the origin IS the encoder
     embedding).  Returns the updated embedding and the applied direction.
     A batch of rows (x_t and c_org of shapes (n, d) and (n, e)) updates
-    every row at once, each exactly as it would be on its own.
+    every row at once, each exactly as it would be on its own; cfg is then
+    one DateConfig for all rows or a DateRows with one setting per row.
     """
     c_org = np.asarray(c_org, dtype=np.float64)
     grad = grad_h_t_wrt_c(x_t, c_org, t, model, sched, h, y, cache=cache)
-    if cfg.origin == "previous" and cfg.l2_weight > 0.0:
+    if np.any(cfg.anchored):
         if c_encoder is None:
             raise UpdateError("previous-origin updates need the encoder embedding")
-        grad = grad - 2.0 * cfg.l2_weight * (c_org - np.asarray(c_encoder, dtype=np.float64))
+        pulled = grad - 2.0 * cfg.l2_weight * (c_org - np.asarray(c_encoder, dtype=np.float64))
+        grad = np.where(cfg.anchored[:, None], pulled, grad) if np.ndim(cfg.anchored) else pulled
     eps, gnorm = scaled_direction(grad, cfg.rho)
     return c_org + eps, UpdateDirection(eps=eps, grad_norm=gnorm)
 
@@ -131,22 +163,21 @@ def build_update_schedule(T_steps, fraction, placement="uniform"):
     raise UpdateError(f"unknown placement {placement!r}")
 
 
-def select_origin(strategy, c_prev, c_encoder):
-    """Choose the update's base point; a missing previous embedding falls
-    back to the encoder output."""
-    if strategy == "fresh":
-        return np.asarray(c_encoder, dtype=np.float64)
-    if strategy == "previous":
-        src = c_encoder if c_prev is None else c_prev
-        return np.asarray(src, dtype=np.float64)
-    raise UpdateError(f"unknown origin strategy {strategy!r}")
-
-
 def multi_iter_update(x_t, c_org, t, cfg, model, sched, h, y, c_encoder=None, cache=None):
     """Repeated updates within one timestep, each re-anchored at the last
-    output; one iteration reduces exactly to date_update."""
+    output; one iteration reduces exactly to date_update.
+
+    With a DateRows cfg, iteration k updates the rows whose
+    iters_per_update exceeds k and leaves the others where they stopped.
+    """
     c = np.asarray(c_org, dtype=np.float64)
-    for _ in range(cfg.iters_per_update):
-        c, _ = date_update(x_t, c, t, cfg, model, sched, h, y,
-                           c_encoder=c_encoder, cache=cache)
+    iters = cfg.iters_per_update
+    for k in range(int(np.max(iters))):
+        if k == 0 or np.ndim(iters) == 0:   # every row makes its first iteration
+            c, _ = date_update(x_t, c, t, cfg, model, sched, h, y,
+                               c_encoder=c_encoder, cache=cache)
+        else:   # c is the previous iteration's fresh array
+            rows = np.flatnonzero(iters > k)
+            c[rows], _ = date_update(x_t[rows], c[rows], t, cfg[rows], model, sched, h, y,
+                                     c_encoder=c_encoder, cache=cache)
     return c

@@ -3,7 +3,9 @@
 run_experiment advances all trajectories of a run as one batch.  Each
 trajectory draws from its own seeded streams and every batched computation
 treats its rows independently, so trajectory i of an n-batch must be bit
-for bit trajectory i of an (i+1)-batch.
+for bit trajectory i of an (i+1)-batch.  run_variants stacks the variants
+of a sweep or a comparison as row blocks of one batch, so each variant's
+block must be bit for bit its solo run.
 """
 
 import numpy as np
@@ -11,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from embedlab.harness.config import config_from_dict
-from embedlab.harness.run import TrajectoryAborted, run_experiment
+from embedlab.harness.cli import _COMPARE_METHODS, _variant
+from embedlab.harness.config import ConfigError, config_from_dict
+from embedlab.harness.run import TrajectoryAborted, run_experiment, run_variants
 from embedlab.models import ScoreNet, save_checkpoint
 
 T = 5
@@ -53,6 +56,96 @@ def _config(method, origin, learned, n, seed, prompt, sampler, h, checkpoint):
 def _assert_same_trajectory(a, b):
     for field in ("x_t", "c_t", "x0_bar", "h", "final_x0"):
         np.testing.assert_array_equal(a[field], b[field], strict=True)
+
+
+def _assert_variants_are_solo_runs(cfgs):
+    batch = run_variants(cfgs)
+    assert len(batch) == len(cfgs)
+    for cfg, (run, report) in zip(cfgs, batch):
+        solo, solo_report = run_experiment(cfg)
+        assert len(run) == cfg.n_samples
+        _assert_same_trajectory(run, solo)
+        assert report.to_dict() == solo_report.to_dict()
+
+
+_DATES = st.fixed_dictionaries({
+    "rho": st.floats(0.05, 4.0),
+    "fraction": st.floats(0.0, 1.0),
+    "placement": st.sampled_from(["uniform", "early", "mid", "late", "all"]),
+    "iters_per_update": st.integers(1, 3),
+    "origin": st.sampled_from(["fresh", "previous"]),
+})
+
+
+@settings(max_examples=60)
+@given(dates=st.lists(_DATES, min_size=1, max_size=4),
+       learned=st.booleans(),
+       n=st.integers(1, 3),
+       steps=st.integers(2, 6),
+       seed=st.integers(0, 2**31 - 1),
+       prompt=st.integers(0, 3),
+       sampler=st.sampled_from(["ddpm", "ddim", "alg1"]),
+       h=st.sampled_from(["cosine", "quadratic"]))
+def test_sweep_variants_match_solo_runs(dates, learned, n, steps, seed, prompt, sampler, h,
+                                        checkpoint):
+    """A sweep's variants (radii, fractions, placements, iteration counts
+    and origins, mixed in one batch) each equal their solo run."""
+    raw = {"seed": seed, "n_samples": n, "prompt": prompt, "sampler": sampler,
+           "schedule": {"T": steps}, "h": {"kind": h}}
+    if learned:
+        raw["model"] = {"kind": "learned", "checkpoint": checkpoint}
+    _assert_variants_are_solo_runs(
+        [config_from_dict(dict(raw, date=dict(date, l2_weight=0.3))) for date in dates])
+
+
+@settings(max_examples=40)
+@given(n=st.integers(2, 4),
+       steps=st.integers(2, 8),
+       seed=st.integers(0, 2**31 - 1),
+       prompt=st.integers(0, 3),
+       fraction=st.floats(0.1, 1.0),
+       origin=st.sampled_from(["fresh", "previous"]),
+       iters=st.integers(1, 2),
+       w=st.sampled_from([0.0, 1.0, 2.0, 3.5]))
+def test_compare_variants_match_solo_runs(n, steps, seed, prompt, fraction, origin, iters, w):
+    """compare's eight methods, run as one batch, each equal their solo run."""
+    cfg = config_from_dict({
+        "seed": seed, "n_samples": n, "prompt": prompt, "schedule": {"T": steps},
+        "guidance": {"w": w},
+        "date": {"fraction": fraction, "origin": origin, "iters_per_update": iters}})
+    _assert_variants_are_solo_runs([_variant(cfg, m) for m in _COMPARE_METHODS])
+
+
+def test_each_variant_draws_from_fresh_generators():
+    """Random-direction ablations at two radii, in one batch, each draw the
+    directions of their solo run."""
+    raw = {"n_samples": 3, "schedule": {"T": 4}, "seed": 11,
+           "guidance": {"kind": "ablation", "ablation_kind": "random"}}
+    _assert_variants_are_solo_runs(
+        [config_from_dict(dict(raw, date={"placement": "all", "rho": rho}))
+         for rho in (0.5, 2.0)])
+
+
+@pytest.mark.parametrize("field, change", [
+    ("seed", {"seed": 4}),
+    ("n_samples", {"n_samples": 3}),
+    ("prompt", {"prompt": 1}),
+    ("schedule", {"schedule": {"T": 6}}),
+    ("model", {"model": {"task_seed": 8}}),
+    ("h", {"h": {"kind": "quadratic"}}),
+    ("sampler", {"sampler": "ddim"}),
+])
+def test_run_variants_refuses_other_differences(field, change):
+    raw = {"n_samples": 2, "schedule": {"T": 5}}
+    base = config_from_dict(raw)
+    other = config_from_dict(dict(raw, **change, guidance={"kind": "cfg"}))
+    with pytest.raises(ConfigError, match=f"^{field}: variant 1 differs"):
+        run_variants([base, other])
+
+
+def test_run_variants_needs_a_config():
+    with pytest.raises(ConfigError, match="at least one"):
+        run_variants([])
 
 
 @settings(max_examples=60)
@@ -101,7 +194,8 @@ def _exploding_weights(net):
 
 def test_abort_names_the_trajectory_that_blows_up(tmp_path):
     """Of three trajectories only trajectory 1 ever reaches x[0] > 0; the
-    batched run aborts at that step and names trajectory 1."""
+    batched run aborts at that step and names trajectory 1.  In a batch of
+    variants the abort names the variant too."""
     raw = {"seed": 210, "n_samples": 3, "schedule": {"T": 6}, "date": None}
 
     def cfg(weights, name):
@@ -120,6 +214,41 @@ def test_abort_names_the_trajectory_that_blows_up(tmp_path):
     with pytest.raises(TrajectoryAborted) as exc:
         with np.errstate(over="ignore", invalid="ignore"):
             run_experiment(cfg(_exploding_weights, "boom.json"))
+    assert exc.value.variant == 0
     assert exc.value.trajectory == 1
     assert exc.value.t == t_boom
     assert f"trajectory 1 at step t={t_boom}" in str(exc.value)
+
+    # Two variants in one batch: the fixed embedding, and random-direction
+    # ablations with rho = 1 at every step.  A net that reads only c[0]
+    # fires where c[0] passes thr, set between the two largest c[0] values
+    # the ablation reaches, so only the ablation's row with the largest
+    # blows up.  Random directions ignore the net, so the calm run shows it.
+    def variants(weights, name):
+        model = {"kind": "learned", "checkpoint": _net(tmp_path / name, weights)}
+        ablation = {"date": {"placement": "all", "rho": 1.0},
+                    "guidance": {"kind": "ablation", "ablation_kind": "random"}}
+        return [config_from_dict(dict(raw, model=model)),
+                config_from_dict(dict(raw, model=model, **ablation))]
+
+    (fixed, _), (calm, _) = run_variants(variants(_zero_weights, "zero.json"))
+    c0 = calm.c_t[..., 0]                       # (trajectory, step index)
+    top, second = np.sort(c0, axis=None)[[-1, -2]]
+    i_boom, k_boom = np.unravel_index(np.argmax(c0), c0.shape)
+    thr = (top + second) / 2.0
+    assert np.all(fixed.c_t[..., 0] < thr)
+    assert i_boom == 2                          # not the block's first row
+
+    def reads_c0(net):
+        out = _exploding_weights(net)
+        out[0][:, 0] = 0.0
+        out[0][:, 2] = 1e200                    # inputs: x (2), then c (4)
+        out[1][:] = -1e200 * thr
+        return out
+
+    with pytest.raises(TrajectoryAborted) as exc:
+        with np.errstate(over="ignore", invalid="ignore"):
+            run_variants(variants(reads_c0, "c0.json"))
+    t_boom = steps - k_boom
+    assert (exc.value.variant, exc.value.trajectory, exc.value.t) == (1, i_boom, t_boom)
+    assert f"variant 1, trajectory {i_boom} at step t={t_boom}" in str(exc.value)

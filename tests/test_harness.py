@@ -71,6 +71,32 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^{path}: "):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize("raw, path", [
+        ({"n_samples": 2.5}, "n_samples"),
+        ({"schedule": {"T": 10.9}}, "schedule.T"),
+        ({"seed": True}, "seed"),
+        ({"date": {"iters_per_update": False}}, "date.iters_per_update"),
+        ({"date": {"update_steps": [2, 3.5]}}, "date.update_steps"),
+    ])
+    def test_int_fields_refuse_fractions_and_bools(self, raw, path):
+        with pytest.raises(ConfigError, match=f"^{path}: expected "):
+            config_from_dict(raw)
+
+    def test_integral_float_is_an_int(self):
+        cfg = config_from_dict({"n_samples": 3.0, "schedule": {"T": 10.0}})
+        assert (cfg.n_samples, cfg.schedule.T) == (3, 10)
+        assert isinstance(cfg.n_samples, int)
+
+    @pytest.mark.parametrize("raw, path", [
+        ({"seed": -1}, "seed"),
+        ({"model": {"task_seed": -2}}, "model.task_seed"),
+        ({"h": {"seed": -1}}, "h.seed"),
+        ({"h": {"feature_dim": 0}}, "h.feature_dim"),
+    ])
+    def test_seeds_and_feature_dim_out_of_range(self, raw, path):
+        with pytest.raises(ConfigError, match=f"^{path}: must be >= "):
+            config_from_dict(raw)
+
     def test_learned_model_requires_existing_checkpoint(self, tmp_path):
         with pytest.raises(ConfigError, match="model.checkpoint"):
             config_from_dict({"model": {"kind": "learned"}})
@@ -209,6 +235,20 @@ class TestRunExperiment:
         c_org = task.embedding(cfg.prompt)
         k = np.arange(1, _T + 1)          # updates made up to each step
         assert np.all(np.linalg.norm(run.c_t - c_org, axis=-1) <= 0.4 * k * (1 + 1e-9))
+
+    def test_previous_origin_steps_from_last_update(self, small_cfg):
+        """Each update starts from the embedding the last one left (the
+        encoder output before the first), so without the pull toward the
+        encoder every update moves exactly rho from the step before."""
+        cfg = dataclasses.replace(
+            small_cfg, date=DateSpec(rho=0.4, update_steps=(10, 20, 30), origin="previous",
+                                     l2_weight=0.0))
+        run, _ = run_experiment(cfg)
+        task, _, _, _, _ = build_objects(cfg)
+        c_enc = np.broadcast_to(task.embedding(cfg.prompt), run.c_t[:, :1].shape)
+        before = np.concatenate([c_enc, run.c_t[:, :-1]], axis=1)
+        moved = np.linalg.norm(run.c_t - before, axis=-1)
+        np.testing.assert_allclose(moved[:, [_T - 30, _T - 20, _T - 10]], 0.4, rtol=1e-9)
 
     def test_paired_streams_isolate_method(self, small_cfg):
         """Fixed and adaptive runs at one seed share every noise draw, so
@@ -408,6 +448,29 @@ class TestCli:
             lines = (out / "sweep.csv").read_text().splitlines()
             assert lines[0].startswith(param + ",")
             assert len(lines) == 3
+
+    @pytest.mark.parametrize("param, values, bad", [
+        ("iters", "1,1.5", "1.5"),
+        ("rho", "0.5,abc", "abc"),
+        ("rho", "0.5,-1", "-1"),
+        ("fraction", "0.5,2", "2"),
+        ("placement", "uniform,bogus", "bogus"),
+    ])
+    def test_sweep_bad_value_named_before_sampling(self, tmp_path, capsys, monkeypatch,
+                                                   param, values, bad):
+        def no_sampling(cfgs):
+            raise AssertionError("sampled before every value was checked")
+
+        monkeypatch.setattr("embedlab.harness.cli.run_variants", no_sampling)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"n_samples": 2, "schedule": {"T": 5}}))
+        out = tmp_path / "s"
+        code = cli_dispatch(["sweep", "--config", str(path), "--param", param,
+                             "--values", values, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"--param {param}: bad value '{bad}'" in err
+        assert not (out / "sweep.csv").exists()
 
     def test_compare_byte_identical_across_runs(self, tmp_path):
         cfg = {"n_samples": 3, "schedule": {"T": 10}}

@@ -19,7 +19,6 @@ from embedlab.update import (
     grad_h_t_wrt_c,
     multi_iter_update,
     scaled_direction,
-    select_origin,
 )
 
 
@@ -212,29 +211,6 @@ class TestUpdateSchedule:
             build_update_schedule(50, 1.5)
         with pytest.raises(UpdateError):
             build_update_schedule(50, 0.1, "sideways")
-
-
-class TestSelectOrigin:
-    def test_fresh_always_encoder(self):
-        enc = np.array([1.0, 2.0])
-        prev = np.array([9.0, 9.0])
-        np.testing.assert_array_equal(select_origin("fresh", prev, enc), enc)
-
-    def test_previous_without_history_falls_back(self):
-        enc = np.array([1.0, 2.0])
-        np.testing.assert_array_equal(select_origin("previous", None, enc), enc)
-
-    def test_previous_replays_last_update(self, task, sched, cos_h):
-        """The second update's origin is exactly the first update's output."""
-        cfg = DateConfig(rho=0.5, update_steps=frozenset([50, 49]),
-                         origin="previous", l2_weight=0.1)
-        c_enc = task.embedding(0)
-        x = np.array([0.3, -0.6])
-        origin_1 = select_origin("previous", None, c_enc)
-        c1, _ = date_update(x, origin_1, 50, cfg, task.model, sched, cos_h, 0,
-                            c_encoder=c_enc)
-        origin_2 = select_origin("previous", c1, c_enc)
-        np.testing.assert_array_equal(origin_2, c1)
 
 
 class TestMultiIter:
