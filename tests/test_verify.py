@@ -210,6 +210,25 @@ class TestProp1:
             "interpretation": "'right-to-left re-decision, all-equal-henceforth'",
         }
 
+    def test_pinned_report_at_grid_21(self, tiny):
+        """The CLI's grid size, whose 68,921 unconstrained sequences the
+        rollout walks in many chunks, at 64 rollouts to stay fast."""
+        tt, sched3 = tiny
+        h = QuadraticAlignment.for_task(tt, sign=-1.0)
+        rep = check_prop1(tt, sched3, h, 0, rho=0.5, n_grid=21, n_rollouts=64, seed=0)
+        got = {f.name: repr(getattr(rep, f.name)) for f in dataclasses.fields(ChainReport)}
+        assert got == {
+            "v_unconstrained": "-0.019359175781888817",
+            "v_constrained": "-0.07424600619195715",
+            "v_fixed": "-0.5759043211217438",
+            "se_unconstrained": "0.0037476994558054847",
+            "se_constrained": "0.02429426660272059",
+            "se_fixed": "0.11496563176421247",
+            "n_rollouts": "64",
+            "grid": "{'ball_points': 21, 'extended_points': 41, 'radius': 0.5, 'origin': 0.5}",
+            "interpretation": "'right-to-left re-decision, all-equal-henceforth'",
+        }
+
     def test_even_grid_rejected(self, tiny):
         tt, sched3 = tiny
         h = QuadraticAlignment.for_task(tt, sign=-1.0)
