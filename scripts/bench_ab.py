@@ -3,6 +3,8 @@
 
     python3 scripts/bench_ab.py --workload learned,adaptive,compare,verify \
         --seeds 10-19 [--parent HEAD] [--tier1 N] [--out BENCH_<n>.json]
+    python3 scripts/bench_ab.py --cmd "verify --check optimization_chain --seed 0" \
+        [--pairs 10] [--parent HEAD] [--out FILE]
 
 Exports the parent revision's files (``git archive``) into a temporary
 directory, then, workload by workload, for each seed runs
@@ -33,6 +35,15 @@ test suite in both trees, N alternating pairs.  ``--out`` writes the
 revisions, the machine (from the runs' ``env`` line), the workloads and
 seeds, every pair's values, each metric's medians, quartiles and verdict,
 and the Tier-1 times to a JSON file.  The temporary copy is removed on exit.
+
+``--cmd`` times one ``embedlab`` command line instead, run as ``python -m
+embedlab CMD`` against each tree's ``src`` from a fresh empty directory, so
+its reports land there.  It reports the same table for the command's wall
+seconds and its peak RSS (``ru_maxrss`` from ``os.wait4``), with bounds
+taken from ``BENCHMARK.json``'s ``ops_per_s`` and ``peak_rss_mb``; a command
+that exits nonzero prints its side and stderr tail and stops the script.
+On Linux a child's ``ru_maxrss`` starts from the RSS of the process that
+spawned it; this script imports no numpy, so that floor is about 14 MB.
 A ``--parent`` whose files equal the working tree's is refused: the runs
 would measure one tree against itself.
 """
@@ -42,6 +53,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shlex
 import shutil
 import statistics
 import subprocess
@@ -57,6 +69,8 @@ MACHINE_KEYS = ("nproc", "cpu_model", "python", "numpy", "scipy", "blas", "blas_
                 "blas_env")
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")
 MIN_PAIRS = 10     # fewer pairs never give a gain: 2 wins of 2 would pass 9 in 10
+CMD_METRICS = ({"name": "wall_s", "unit": "s", "better": "lower", "like": "ops_per_s"},
+               {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "like": "peak_rss_mb"})
 
 
 def parse_seeds(spec):
@@ -126,6 +140,31 @@ def run_once(side, tree, workload, seed):
                   + (f" ({n} times)" if n > 1 else ""), file=sys.stderr, flush=True)
         result["failing"] = sorted({failing_op(problem) for problem in problems})
     return result
+
+
+def cmd_once(side, tree, argv, scratch):
+    """One run of `python -m embedlab argv` from tree's src, in a fresh
+    directory under `scratch`, as a result with the metrics wall_s and
+    peak_rss_mb.  A run that exits nonzero prints its side, command and
+    stderr tail, then raises."""
+    cwd = tempfile.mkdtemp(dir=scratch)
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    with tempfile.TemporaryFile(dir=scratch) as err:
+        t0 = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "embedlab", *argv], cwd=cwd, env=env,
+                                stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        seconds = time.perf_counter() - t0
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode:
+            err.seek(0)
+            tail = "\n".join(err.read().decode().splitlines()[-STDERR_TAIL:])
+            print(f"{side} run failed: embedlab {shlex.join(argv)}, exit {proc.returncode}; "
+                  f"stderr tail:\n{tail}", file=sys.stderr, flush=True)
+            raise subprocess.CalledProcessError(proc.returncode, proc.args)
+    return {"correct": True, "failed": 0, "attempted": 1, "failing": [],
+            "metrics": {"wall_s": {"value": seconds},
+                        "peak_rss_mb": {"value": usage.ru_maxrss / 1024}}}   # KiB on Linux
 
 
 def failing_op(problem):
@@ -198,8 +237,8 @@ def summarize(metrics, runs):
 
 def report(workload, rev, seeds, metrics, runs):
     """Print the per-metric table; returns its rows."""
-    print(f"\n{workload}, parent {rev[:12]} vs working tree, {len(runs)} pairs "
-          f"(seeds {seeds}); median [quartiles]")
+    print(f"\n{workload}, parent {rev[:12]} vs working tree, {len(runs)} pairs"
+          + (f" (seeds {seeds})" if seeds else "") + "; median [quartiles]")
     rows = summarize(metrics, runs)
     for r in rows:
         pm, (p1, p3), cm, (c1, c3) = (r["parent_median"], r["parent_quartiles"],
@@ -241,18 +280,45 @@ def time_tier1(tree, pairs):
             "median_seconds": medians}
 
 
+def time_cmd(tree, rev, cmd, pairs, scratch, bounds):
+    """Alternating runs of the embedlab command line `cmd` in the parent
+    copy and the working tree; returns its pairs and metric rows."""
+    argv = shlex.split(cmd)
+    metrics = [dict(m, bound=bounds[m["like"]]) for m in CMD_METRICS]
+    runs, records = [], []
+    for i in range(pairs):
+        sides = [("parent", tree), ("change", ROOT)]
+        if i % 2:
+            sides.reverse()
+        res = {side: cmd_once(side, where, argv, scratch) for side, where in sides}
+        runs.append((res["parent"], res["change"]))
+        records.append(pair_record(None, sides[0][0], res["parent"], res["change"]))
+        print(f"{cmd} pair {i} ({sides[0][0]} first): " + "; ".join(
+            f"{side} {r['metrics']['wall_s']['value']:.3f} s "
+            f"{r['metrics']['peak_rss_mb']['value']:.1f} MB" for side, r in res.items()),
+            flush=True)
+    return {"pairs": records, "metrics": report(f"embedlab {cmd}", rev, None, metrics, runs)}
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    p.add_argument("--workload", required=True, type=parse_workloads,
-                   help=f"one workload or a comma list of {', '.join(WORKLOADS)}")
-    p.add_argument("--seeds", required=True, help="'10-19' or a comma list")
+    what = p.add_mutually_exclusive_group(required=True)
+    what.add_argument("--workload", type=parse_workloads,
+                      help=f"one workload or a comma list of {', '.join(WORKLOADS)}")
+    what.add_argument("--cmd", help="an embedlab command line to time instead, e.g. "
+                                    "'verify --check optimization_chain --seed 0'")
+    p.add_argument("--seeds", help="'10-19' or a comma list (with --workload)")
+    p.add_argument("--pairs", type=int, default=MIN_PAIRS,
+                   help=f"alternating pairs of --cmd runs (default {MIN_PAIRS})")
     p.add_argument("--parent", default="HEAD", help="parent revision (default HEAD)")
     p.add_argument("--tier1", type=int, default=0, metavar="N",
                    help="also time the Tier-1 suite, N alternating pairs (default 0)")
     p.add_argument("--out", help="write every pair, summary and the Tier-1 times to this "
                                  "JSON file (BENCH_<n>.json)")
     args = p.parse_args(argv)
-    seeds = parse_seeds(args.seeds)
+    if args.workload and not args.seeds:
+        p.error("--workload needs --seeds")
+    seeds = parse_seeds(args.seeds) if args.workload else []
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         metrics = json.load(fh)["end_to_end"]
@@ -265,13 +331,18 @@ def main(argv=None):
               file=sys.stderr)
     record = {"revisions": {"parent": rev, "change": git("rev-parse", "HEAD"),
                             "change_uncommitted": bool(git("status", "--porcelain"))},
-              "machine": {}, "workloads": args.workload, "seeds": seeds, "results": {}}
+              "machine": {}, "workloads": args.workload or [], "seeds": seeds, "results": {}}
 
     tmp = tempfile.mkdtemp(prefix="bench_ab-")
     tree = os.path.join(tmp, "parent")
     try:
         export_tree(rev, tree)
-        for workload in args.workload:
+        if args.cmd:
+            record["command"] = "embedlab " + args.cmd
+            record["results"][args.cmd] = time_cmd(
+                tree, rev, args.cmd, args.pairs, tmp,
+                {m["name"]: m["bound"] for m in metrics})
+        for workload in args.workload or []:
             runs, pairs = [], []
             for i, seed in enumerate(seeds):
                 sides = [("parent", tree), ("change", ROOT)]

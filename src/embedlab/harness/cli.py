@@ -33,7 +33,8 @@ import numpy as np
 from ..fileio import open_atomic
 from ..models import ScoreNet, save_checkpoint, train_dsm
 from ..verify import ALL_CHECKS, run_checks
-from .config import ConfigError, ExperimentConfig, config_from_dict, config_to_dict, load_config
+from .config import (ConfigError, DateSpec, ExperimentConfig, config_from_dict, config_to_dict,
+                     load_config)
 from .metrics import paired_ttest
 from .run import build_objects, run_experiment, run_variants
 
@@ -195,14 +196,21 @@ def cmd_compare(args):
 _SWEEP_PARAMS = ("rho", "fraction", "placement", "iters")
 
 
+_PARSE = {"int": int, "float": float, "str": str}
+
+
 def _sweep_variant(cfg, param, raw):
-    """cfg with its date section's `param` set to the string `raw`, checked
-    as a config file's value would be; a bad value is a ConfigError naming
-    --param and the value."""
+    """cfg with its date section's `param` set to the string `raw`, parsed
+    as its field's type and checked as a config file's value would be; a
+    bad value is a ConfigError naming --param and the value."""
     raw_cfg = config_to_dict(cfg)
     date = raw_cfg["date"]
     key = "iters_per_update" if param == "iters" else param
-    date[key] = raw
+    kind = next(f.type for f in dataclasses.fields(DateSpec) if f.name == key)
+    try:
+        date[key] = _PARSE[kind](raw)
+    except ValueError:
+        raise ConfigError(f"--param {param}: bad value {raw!r} (expected {kind})") from None
     if param in ("fraction", "placement"):
         date["update_steps"] = None
     try:

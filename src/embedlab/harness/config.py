@@ -1,10 +1,11 @@
 """Experiment configuration: JSON in, validated dataclasses out.
 
 Loading is strict: unknown keys and duplicate keys are rejected with the
-offending key path, and a value of the wrong type (a bool, or a float with
-a fractional part, where an integer belongs) or outside a checked range
-names the key that caused it.  Serialization materializes all defaults, so
-load -> serialize -> load is the identity.
+offending key path, and a value of the wrong type (a bool or a string where
+a number belongs, or a float with a fractional part where an integer
+belongs) or outside a checked range names the key that caused it.
+Serialization materializes all defaults, so load -> serialize -> load is
+the identity.
 """
 
 from __future__ import annotations
@@ -95,13 +96,20 @@ def _require(cond, path, msg):
 
 def _int(v):
     """int(v), refusing what int() would silently truncate or reinterpret:
-    a float with a fractional part, or a bool."""
-    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+    a float with a fractional part, a bool or a string."""
+    if isinstance(v, (bool, str)) or (isinstance(v, float) and not v.is_integer()):
         raise TypeError(v)
     return int(v)
 
 
-_CONVERT = {"int": _int, "float": float, "str": str}
+def _float(v):
+    """float(v), refusing a bool or a string."""
+    if isinstance(v, (bool, str)):
+        raise TypeError(v)
+    return float(v)
+
+
+_CONVERT = {"int": _int, "float": _float, "str": str}
 
 
 def _as(kind, v, path):

@@ -259,7 +259,8 @@ def check_thm2_order(x_t, c_org, t, model, sched, h, y,
 
 # -- the optimization chain ---------------------------------------------------
 
-_BLOCK_ROWS = 1024   # candidate sequences stepped together; bounds peak memory
+_BLOCK_ROWS = 64   # prefixes stepped together: 64 x 512 rollouts x K = 2 float64
+                   # is 0.5 MiB per temporary, inside a 2 MiB L2
 
 
 def _rollout_values(seqs, z0, step_noise, model, sched, h, y):
@@ -268,36 +269,47 @@ def _rollout_values(seqs, z0, step_noise, model, sched, h, y):
     seqs has shape (S, T); column t-1 is the embedding applied at step t.
     Every sequence starts from the rows of z0 and takes the same step noise,
     so sequences sharing (c_T, ..., c_t) reach the same state after step t.
-    Rows are sorted by that prefix and walked in blocks; within a block each
-    level steps every distinct prefix once, from a contiguous copy of its
-    parent states, and the results are scattered back to the rows.
+    Rows are sorted by that prefix and the prefix tree is walked level by
+    level: at step t each distinct prefix is stepped once from its parent's
+    state, in chunks of at most _BLOCK_ROWS prefixes.  Only the level above
+    keeps its states; at the leaf each chunk is reduced to its means and
+    standard errors, which are then scattered back to the rows.
     """
     S, T = seqs.shape
     n_rollouts = z0.shape[0]
     order = np.lexsort(seqs.T)          # by c_T, then c_{T-1}, ...
-    means, ses = np.empty(S), np.empty(S)
-    for lo in range(0, S, _BLOCK_ROWS):
-        rows = order[lo:lo + _BLOCK_ROWS]
-        block = seqs[rows]
-        x = z0[None]                    # the one state before step T
-        parent = np.zeros(rows.size, dtype=np.intp)   # row -> state index
-        starts = np.zeros(rows.size, dtype=bool)      # row opens a new prefix
-        starts[0] = True
-        for t in range(T, 0, -1):
-            cs = block[:, t - 1]
-            starts[1:] |= cs[1:] != cs[:-1]
-            first = np.flatnonzero(starts)
-            x = x[parent[first]]
-            s = model.score(x, cs[first][:, None, None], t, sched)
+    seqs = seqs[order]
+    x = z0[None]                        # the one state before step T
+    parent = np.zeros(S, dtype=np.intp)   # sorted row -> state index
+    starts = np.zeros(S, dtype=bool)      # row opens a new prefix
+    starts[0] = True
+    for t in range(T, 0, -1):
+        cs = seqs[:, t - 1]
+        starts[1:] |= cs[1:] != cs[:-1]
+        first = np.flatnonzero(starts)
+        up, cs = parent[first], cs[first]
+        # a level above the leaf keeps its states, the leaf each prefix's
+        # mean and standard error
+        out = np.empty((first.size,) + z0.shape if t > 1 else (2, first.size))
+        for lo in range(0, first.size, _BLOCK_ROWS):
+            chunk = slice(lo, lo + _BLOCK_ROWS)
+            xc = x[up[chunk]]
+            s = model.score(xc, cs[chunk, None, None], t, sched)
             # identical noise across candidate sequences: common random numbers
-            noise = (np.broadcast_to(step_noise[t - 1], x.shape)
-                     if t > 1 else np.zeros_like(x))
-            x = step_ddpm(x, s, t, noise, sched)
-            parent = np.cumsum(starts) - 1
-        hs = h.value(x, y)
-        means[rows] = np.mean(hs, axis=1)[parent]
-        ses[rows] = (np.std(hs, axis=1, ddof=1) / np.sqrt(n_rollouts))[parent]
-    return means, ses
+            noise = (np.broadcast_to(step_noise[t - 1], xc.shape)
+                     if t > 1 else np.zeros_like(xc))
+            xc = step_ddpm(xc, s, t, noise, sched)
+            if t > 1:
+                out[chunk] = xc
+            else:
+                hs = h.value(xc, y)
+                out[0, chunk] = np.mean(hs, axis=1)
+                out[1, chunk] = np.std(hs, axis=1, ddof=1) / np.sqrt(n_rollouts)
+        x = out
+        parent = np.cumsum(starts) - 1
+    stats = np.empty((2, S))
+    stats[:, order] = x[:, parent]
+    return stats[0], stats[1]
 
 
 def check_prop1(task, sched, h, y, rho=0.5, n_grid=21, n_rollouts=512, seed=0):

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import os
 import subprocess
+import sys
 
 import pytest
 
@@ -198,3 +199,52 @@ def test_out_file_records_revisions_machine_pairs_and_tier1(tmp_path, monkeypatc
     assert sorted(r["side"] for r in tier1["runs"]) == ["change", "parent"]
     assert all(r["exit"] == 0 and "1 passed" in r["summary"] for r in tier1["runs"])
     assert set(tier1["median_seconds"]) == {"parent", "change"}
+
+
+def _stub_embedlab(repo, mb):
+    """src/embedlab/__main__.py under `repo` that holds `mb` MB while it
+    runs, and exits 3 unless called as `verify --seed 0`."""
+    main = repo / "src" / "embedlab" / "__main__.py"
+    main.parent.mkdir(parents=True, exist_ok=True)
+    main.write_text("import sys\n"
+                    "if sys.argv[1:] != ['verify', '--seed', '0']:\n"
+                    "    sys.exit(3)\n"
+                    f"held = b'x' * ({mb} << 20)\n"
+                    "open('verify.json', 'w').write('{}')\n")
+
+
+def test_cmd_times_an_embedlab_command_in_both_trees(tmp_path):
+    """Run as a script from the stub repo: a child's peak RSS starts from
+    its spawner's, which for this test process could hide the stub's."""
+    repo = tmp_path / "repo"
+    git = _stub_repo(repo)
+    (repo / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS + [
+        {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1}]}))
+    _stub_embedlab(repo, 0)
+    subprocess.run(git + ["add", "-A"], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "parent"], check=True)
+    _stub_embedlab(repo, 64)
+    (repo / "scripts").mkdir()
+    script = repo / "scripts" / "bench_ab.py"
+    script.write_text(open(_PATH).read())
+    out = tmp_path / "BENCH_0.json"
+    proc = subprocess.run([sys.executable, str(script), "--cmd", "verify --seed 0", "--pairs", "2",
+                           "--out", str(out)], capture_output=True, text=True, check=True)
+    assert "embedlab verify --seed 0, parent" in proc.stdout
+    rec = json.loads(out.read_text())
+    assert rec["command"] == "embedlab verify --seed 0" and rec["revisions"]["change_uncommitted"]
+    res = rec["results"]["verify --seed 0"]
+    assert [p["first"] for p in res["pairs"]] == ["parent", "change"]
+    # the change holds 64 MB more at its peak, in every pair
+    assert all(p["change"]["peak_rss_mb"] - p["parent"]["peak_rss_mb"] > 48
+               for p in res["pairs"])
+    rows = {r["name"]: r for r in res["metrics"]}
+    assert set(rows) == {"wall_s", "peak_rss_mb"} and rows["peak_rss_mb"]["wins"] == 0
+    assert rows["peak_rss_mb"]["verdict"] == "regression"
+    # the reports went to a scratch directory, not into either tree
+    assert not (repo / "verify.json").exists()
+    # a command that exits nonzero names its side and stops the script
+    proc = subprocess.run([sys.executable, str(script), "--cmd", "verify --seed 1", "--pairs", "1"],
+                          capture_output=True, text=True)
+    assert proc.returncode != 0
+    assert "parent run failed: embedlab verify --seed 1, exit 3" in proc.stderr

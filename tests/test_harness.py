@@ -19,7 +19,7 @@ from embedlab.harness.metrics import (
     gaussian_frechet,
     paired_ttest,
 )
-from embedlab.harness.run import build_objects, run_experiment
+from embedlab.harness.run import build_objects, run_experiment, run_variants
 from embedlab.models import default_task
 
 
@@ -79,6 +79,15 @@ class TestConfig:
         ({"date": {"update_steps": [2, 3.5]}}, "date.update_steps"),
     ])
     def test_int_fields_refuse_fractions_and_bools(self, raw, path):
+        with pytest.raises(ConfigError, match=f"^{path}: expected "):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("raw, path", [
+        ({"guidance": {"w": True}}, "guidance.w"),
+        ({"n_samples": "3"}, "n_samples"),
+        ({"date": {"rho": "0.5"}}, "date.rho"),
+    ])
+    def test_number_fields_refuse_bools_and_strings(self, raw, path):
         with pytest.raises(ConfigError, match=f"^{path}: expected "):
             config_from_dict(raw)
 
@@ -448,6 +457,29 @@ class TestCli:
             lines = (out / "sweep.csv").read_text().splitlines()
             assert lines[0].startswith(param + ",")
             assert len(lines) == 3
+
+    def test_sweep_values_take_their_fields_types(self, tmp_path, monkeypatch):
+        """--values strings are parsed as the swept field's type, not
+        passed to the config reader, which refuses strings for numbers."""
+        import embedlab.harness.cli as cli_mod
+        seen = []
+
+        def recording(cfgs):
+            seen.append([cfg.date for cfg in cfgs])
+            return run_variants(cfgs)
+
+        monkeypatch.setattr(cli_mod, "run_variants", recording)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"n_samples": 2, "schedule": {"T": 5}}))
+        for param, values in (("rho", "0.5,1"), ("iters", "1,2")):
+            out = tmp_path / f"s_{param}"
+            assert cli_dispatch(["sweep", "--config", str(path), "--param", param,
+                                 "--values", values, "--out", str(out)]) == 0
+            assert len((out / "sweep.csv").read_text().splitlines()) == 3
+        rhos, iters = seen
+        assert [d.rho for d in rhos] == [0.5, 1.0]
+        assert [d.iters_per_update for d in iters] == [1, 2]
+        assert all(type(d.iters_per_update) is int for d in iters)
 
     @pytest.mark.parametrize("param, values, bad", [
         ("iters", "1,1.5", "1.5"),

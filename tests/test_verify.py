@@ -248,12 +248,13 @@ class TestProp1:
 
     @pytest.mark.parametrize("n_grid", [1, 3, 5, 7])
     @pytest.mark.parametrize("h_kind", ["linear", "quadratic"])
-    @pytest.mark.parametrize("block_rows", [None, 7])
+    @pytest.mark.parametrize("block_rows", [None, 7, 2])
     def test_bit_identical_to_flat_rollout(self, tiny, monkeypatch, n_grid, h_kind,
                                            block_rows):
         """The prefix-tree rollout reports exactly what stepping every
-        sequence through every step reports, also when blocks of 7 rows
-        split the prefix groups."""
+        sequence through every step reports, also when chunks of 7 prefixes
+        split the prefix groups, and when every level of the unconstrained
+        grid takes several chunks of 2."""
         tt, sched3 = tiny
         h = (LinearAlignment(np.array([[0.8]])) if h_kind == "linear"
              else QuadraticAlignment.for_task(tt, sign=-1.0))
@@ -281,6 +282,24 @@ class TestProp1:
         got = verify_mod._rollout_values(seqs, z0, step_noise, tt.model, sched3, h, 0)
         want = _flat_rollout_values(seqs, z0, step_noise, tt.model, sched3, h, 0)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_score_calls_step_at_most_a_chunk(self, tiny, monkeypatch):
+        """At the default chunk size and the CLI's 512 rollouts, no score
+        temporary spans more than _BLOCK_ROWS prefixes."""
+        tt, sched3 = tiny
+        h = QuadraticAlignment.for_task(tt, sign=-1.0)
+        rows = []
+        score = MixtureModel.score
+
+        def counted(self, x, c, t, sched):
+            rows.append(np.shape(x)[0])
+            return score(self, x, c, t, sched)
+
+        monkeypatch.setattr(MixtureModel, "score", counted)
+        check_prop1(tt, sched3, h, 0, rho=0.5, n_grid=7, n_rollouts=512, seed=0)
+        # the 169 middle-level prefixes of the 13-point extended grid fill
+        # whole chunks, and no call steps more
+        assert max(rows) == verify_mod._BLOCK_ROWS
 
     def test_each_distinct_prefix_scored_once(self, tiny, monkeypatch):
         tt, sched3 = tiny
