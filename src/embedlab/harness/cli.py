@@ -194,9 +194,7 @@ def cmd_compare(args):
 
 
 _SWEEP_PARAMS = ("rho", "fraction", "placement", "iters")
-
-
-_PARSE = {"int": int, "float": float, "str": str}
+_PARSE = {"int": int, "float": float, "str": str}   # a --values string, by its field's type
 
 
 def _sweep_variant(cfg, param, raw):

@@ -285,21 +285,24 @@ class TestProp1:
 
     def test_score_calls_step_at_most_a_chunk(self, tiny, monkeypatch):
         """At the default chunk size and the CLI's 512 rollouts, no score
-        temporary spans more than _BLOCK_ROWS prefixes."""
+        call steps more than _BLOCK_ROWS prefixes, so its (prefixes, 512,
+        K, d) temporaries stay well inside a 2 MiB L2."""
         tt, sched3 = tiny
         h = QuadraticAlignment.for_task(tt, sign=-1.0)
-        rows = []
+        shapes = []
         score = MixtureModel.score
 
         def counted(self, x, c, t, sched):
-            rows.append(np.shape(x)[0])
+            shapes.append(np.shape(x))
             return score(self, x, c, t, sched)
 
         monkeypatch.setattr(MixtureModel, "score", counted)
         check_prop1(tt, sched3, h, 0, rho=0.5, n_grid=7, n_rollouts=512, seed=0)
         # the 169 middle-level prefixes of the 13-point extended grid fill
         # whole chunks, and no call steps more
-        assert max(rows) == verify_mod._BLOCK_ROWS
+        assert max(shape[0] for shape in shapes) == verify_mod._BLOCK_ROWS
+        biggest = max(np.prod(shape) for shape in shapes) * tt.model.n_components * 8
+        assert biggest <= 1 << 20
 
     def test_each_distinct_prefix_scored_once(self, tiny, monkeypatch):
         tt, sched3 = tiny
