@@ -279,7 +279,7 @@ def _rollout_values(seqs, z0, step_noise, model, sched, h, y):
     n_rollouts = z0.shape[0]
     order = np.lexsort(seqs.T)          # by c_T, then c_{T-1}, ...
     seqs = seqs[order]
-    x = z0[None]                        # the one state before step T
+    x = z0[None]          # the level above's states: at first the one before step T
     parent = np.zeros(S, dtype=np.intp)   # sorted row -> state index
     starts = np.zeros(S, dtype=bool)      # row opens a new prefix
     starts[0] = True
