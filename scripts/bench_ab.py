@@ -4,7 +4,7 @@
     python3 scripts/bench_ab.py --workload learned,adaptive,compare,verify \
         --seeds 10-19 [--parent HEAD] [--tier1 N] [--out BENCH_<n>.json]
     python3 scripts/bench_ab.py --cmd "verify --check optimization_chain --seed 0" \
-        [--pairs 10] [--parent HEAD] [--out FILE]
+        [--parent HEAD] [--out FILE]
 
 Exports the parent revision's files (``git archive``) into a temporary
 directory, then, workload by workload, for each seed runs
@@ -38,10 +38,11 @@ and the Tier-1 times to a JSON file.  The temporary copy is removed on exit.
 
 ``--cmd`` times one ``embedlab`` command line instead, run as ``python -m
 embedlab CMD`` against each tree's ``src`` from a fresh empty directory, so
-its reports land there.  It reports the same table for the command's wall
-seconds and its peak RSS (``ru_maxrss`` from ``os.wait4``), with bounds
-taken from ``BENCHMARK.json``'s ``ops_per_s`` and ``peak_rss_mb``; a command
-that exits nonzero prints its side and stderr tail and stops the script.
+its reports land there, over 10 alternating pairs.  It reports the same
+table for the command's wall seconds and its peak RSS (``ru_maxrss`` from
+``os.wait4``), with bounds taken from ``BENCHMARK.json``'s ``ops_per_s`` and
+``peak_rss_mb``; a command that exits nonzero prints its side and stderr
+tail and stops the script.
 On Linux a child's ``ru_maxrss`` starts from the RSS of the process that
 spawned it; this script imports no numpy, so that floor is about 14 MB.
 A ``--parent`` whose files equal the working tree's is refused: the runs
@@ -280,13 +281,13 @@ def time_tier1(tree, pairs):
             "median_seconds": medians}
 
 
-def time_cmd(tree, rev, cmd, pairs, scratch, bounds):
+def time_cmd(tree, rev, cmd, scratch, bounds):
     """Alternating runs of the embedlab command line `cmd` in the parent
     copy and the working tree; returns its pairs and metric rows."""
     argv = shlex.split(cmd)
     metrics = [dict(m, bound=bounds[m["like"]]) for m in CMD_METRICS]
     runs, records = [], []
-    for i in range(pairs):
+    for i in range(MIN_PAIRS):
         sides = [("parent", tree), ("change", ROOT)]
         if i % 2:
             sides.reverse()
@@ -308,8 +309,6 @@ def main(argv=None):
     what.add_argument("--cmd", help="an embedlab command line to time instead, e.g. "
                                     "'verify --check optimization_chain --seed 0'")
     p.add_argument("--seeds", help="'10-19' or a comma list (with --workload)")
-    p.add_argument("--pairs", type=int, default=MIN_PAIRS,
-                   help=f"alternating pairs of --cmd runs (default {MIN_PAIRS})")
     p.add_argument("--parent", default="HEAD", help="parent revision (default HEAD)")
     p.add_argument("--tier1", type=int, default=0, metavar="N",
                    help="also time the Tier-1 suite, N alternating pairs (default 0)")
@@ -340,7 +339,7 @@ def main(argv=None):
         if args.cmd:
             record["command"] = "embedlab " + args.cmd
             record["results"][args.cmd] = time_cmd(
-                tree, rev, args.cmd, args.pairs, tmp,
+                tree, rev, args.cmd, tmp,
                 {m["name"]: m["bound"] for m in metrics})
         for workload in args.workload or []:
             runs, pairs = [], []

@@ -228,13 +228,13 @@ def test_cmd_times_an_embedlab_command_in_both_trees(tmp_path):
     script = repo / "scripts" / "bench_ab.py"
     script.write_text(open(_PATH).read())
     out = tmp_path / "BENCH_0.json"
-    proc = subprocess.run([sys.executable, str(script), "--cmd", "verify --seed 0", "--pairs", "2",
+    proc = subprocess.run([sys.executable, str(script), "--cmd", "verify --seed 0",
                            "--out", str(out)], capture_output=True, text=True, check=True)
     assert "embedlab verify --seed 0, parent" in proc.stdout
     rec = json.loads(out.read_text())
     assert rec["command"] == "embedlab verify --seed 0" and rec["revisions"]["change_uncommitted"]
     res = rec["results"]["verify --seed 0"]
-    assert [p["first"] for p in res["pairs"]] == ["parent", "change"]
+    assert [p["first"] for p in res["pairs"]] == ["parent", "change"] * 5
     # the change holds 64 MB more at its peak, in every pair
     assert all(p["change"]["peak_rss_mb"] - p["parent"]["peak_rss_mb"] > 48
                for p in res["pairs"])
@@ -244,7 +244,7 @@ def test_cmd_times_an_embedlab_command_in_both_trees(tmp_path):
     # the reports went to a scratch directory, not into either tree
     assert not (repo / "verify.json").exists()
     # a command that exits nonzero names its side and stops the script
-    proc = subprocess.run([sys.executable, str(script), "--cmd", "verify --seed 1", "--pairs", "1"],
+    proc = subprocess.run([sys.executable, str(script), "--cmd", "verify --seed 1"],
                           capture_output=True, text=True)
     assert proc.returncode != 0
     assert "parent run failed: embedlab verify --seed 1, exit 3" in proc.stderr
