@@ -16,6 +16,7 @@ from embedlab.harness.config import (
 from embedlab.harness.metrics import (
     MetricsError,
     compute_metrics,
+    config_hash,
     gaussian_frechet,
     paired_ttest,
 )
@@ -125,6 +126,31 @@ class TestConfig:
         cfg = load_config(path)
         again = config_from_dict(config_to_dict(cfg))
         assert again == cfg
+
+    @pytest.mark.parametrize("raw, digest", [
+        ({}, "622d1507b8d0"),
+        ({"seed": 3,
+          "schedule": {"T": 40, "kind": "constant", "beta_lo": 0.002, "beta_hi": 0.05},
+          "model": {"kind": "learned", "task_seed": 5, "checkpoint": "net.json"},
+          "prompt": 2, "sampler": "ddim", "guidance": {"kind": "none", "w": 1.5},
+          "date": {"rho": 0.7, "fraction": 0.3, "placement": "late",
+                   "update_steps": [30, 4, 17], "origin": "previous", "l2_weight": 0.05,
+                   "iters_per_update": 3},
+          "h": {"kind": "composite", "seed": 4, "feature_dim": 6, "sign": 1.0,
+                "weights": [{"kind": "cosine", "weight": 0.75},
+                            {"kind": "quadratic", "weight": -0.25}]},
+          "n_samples": 5, "out_dir": "elsewhere"}, "033f11786aef"),
+        ({"date": None, "guidance": {"kind": "cg", "w": 3.0}}, "2424b9cec660"),
+        ({"date": {"placement": "mid", "fraction": 0.25},
+          "guidance": {"kind": "ablation", "ablation_kind": "unnormalized", "rho": 0.3}},
+         "57e7e0650ded"),
+    ], ids=["default", "every_field_set", "date_null", "ablation_rho"])
+    def test_config_hash_pinned(self, raw, digest, tmp_path, monkeypatch):
+        """The serialized config, and so every report's config_hash, keeps
+        its bytes: the default and configs with every section set."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "net.json").write_text("{}")
+        assert config_hash(config_to_dict(config_from_dict(raw))) == digest
 
     def test_ablation_requires_date_section(self):
         with pytest.raises(ConfigError, match="ablations need"):
