@@ -33,7 +33,7 @@ import numpy as np
 from ..fileio import open_atomic
 from ..models import ScoreNet, save_checkpoint, train_dsm
 from ..verify import ALL_CHECKS, run_checks
-from .config import (ConfigError, DateSpec, ExperimentConfig, config_from_dict, config_to_dict,
+from .config import (ConfigError, DateConfig, ExperimentConfig, config_from_dict, config_to_dict,
                      load_config)
 from .metrics import paired_ttest
 from .run import build_objects, run_experiment, run_variants
@@ -166,8 +166,8 @@ def cmd_compare(args):
     if cfg.date is None:
         raise ConfigError("compare needs a date section in the config")
     out = _outdir(cfg)
-    _, sched, _, h, date_cfg = build_objects(cfg)
-    n_updates = len(date_cfg.update_steps)
+    _, sched, _, h, update_steps = build_objects(cfg)
+    n_updates = len(update_steps)
     rows = []
     finals = {}
     results = run_variants([_variant(cfg, method) for method in _COMPARE_METHODS])
@@ -204,7 +204,7 @@ def _sweep_variant(cfg, param, raw):
     raw_cfg = config_to_dict(cfg)
     date = raw_cfg["date"]
     key = "iters_per_update" if param == "iters" else param
-    kind = next(f.type for f in dataclasses.fields(DateSpec) if f.name == key)
+    kind = next(f.type for f in dataclasses.fields(DateConfig) if f.name == key)
     try:
         date[key] = _PARSE[kind](raw)
     except ValueError:

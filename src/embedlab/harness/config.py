@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, fields
-
-import numpy as np
+from dataclasses import asdict, dataclass, field, fields
 
 from ..guidance import GuidanceConfig, GuidanceError
+from ..update import DateConfig, UpdateError
 
 
 class ConfigError(ValueError):
@@ -48,17 +47,6 @@ class HSpec:
 
 
 @dataclass(frozen=True)
-class DateSpec:
-    rho: float = 0.5
-    fraction: float = 0.1
-    placement: str = "uniform"
-    update_steps: tuple | None = None   # explicit steps override fraction/placement
-    origin: str = "fresh"
-    l2_weight: float = 0.1
-    iters_per_update: int = 1
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     seed: int = 0
     schedule: ScheduleSpec = field(default_factory=ScheduleSpec)
@@ -66,7 +54,7 @@ class ExperimentConfig:
     prompt: int = 0
     sampler: str = "ddpm"
     guidance: GuidanceConfig = field(default_factory=GuidanceConfig)
-    date: DateSpec | None = field(default_factory=DateSpec)
+    date: DateConfig | None = field(default_factory=DateConfig)
     h: HSpec = field(default_factory=HSpec)
     n_samples: int = 16
     out_dir: str = "out"
@@ -191,7 +179,7 @@ def config_from_dict(raw):
     # an absent date section means defaults; an explicit null disables updates
     date = None
     if "date" not in raw:
-        date = DateSpec()
+        date = DateConfig()
     elif raw["date"] is not None:
         dd = raw["date"]
         _require(isinstance(dd, dict), "date", "must be an object or null")
@@ -199,19 +187,13 @@ def config_from_dict(raw):
         if steps is not None:
             _require(isinstance(steps, (list, tuple)), "date.update_steps",
                      "must be a list of steps")
-            steps = tuple(sorted(_as("int", s, "date.update_steps") for s in steps))
+            steps = [_as("int", s, "date.update_steps") for s in steps]
             _require(all(1 <= s <= schedule.T for s in steps), "date.update_steps",
                      f"steps must lie in 1..{schedule.T}")
-        date = _spec(DateSpec, dd, "date", update_steps=steps)
-        _require(np.isfinite(date.rho) and date.rho > 0.0, "date.rho",
-                 "must be finite and positive")
-        _require(0.0 <= date.fraction <= 1.0, "date.fraction", "must lie in [0, 1]")
-        _require(date.placement in ("uniform", "early", "mid", "late", "all"),
-                 "date.placement", "must be uniform/early/mid/late/all")
-        _require(date.origin in ("fresh", "previous"), "date.origin",
-                 "must be 'fresh' or 'previous'")
-        _require(date.l2_weight >= 0.0, "date.l2_weight", "must be >= 0")
-        _require(date.iters_per_update >= 1, "date.iters_per_update", "must be >= 1")
+        try:
+            date = _spec(DateConfig, dd, "date", update_steps=steps)
+        except UpdateError as exc:
+            raise ConfigError(f"date.{exc}") from exc
 
     if guidance.kind == "ablation":
         _require(date is not None, "guidance", "ablations need a date section "
@@ -239,27 +221,6 @@ def load_config(path):
 
 def config_to_dict(cfg):
     """All fields materialized, defaults included; loads back identically."""
-    return {
-        "seed": cfg.seed,
-        "schedule": {"T": cfg.schedule.T, "kind": cfg.schedule.kind,
-                     "beta_lo": cfg.schedule.beta_lo, "beta_hi": cfg.schedule.beta_hi},
-        "model": {"kind": cfg.model.kind, "task_seed": cfg.model.task_seed,
-                  "checkpoint": cfg.model.checkpoint},
-        "prompt": cfg.prompt,
-        "sampler": cfg.sampler,
-        "guidance": {"kind": cfg.guidance.kind, "w": cfg.guidance.w,
-                     "ablation_kind": cfg.guidance.ablation_kind,
-                     "rho": cfg.guidance.rho},
-        "date": None if cfg.date is None else {
-            "rho": cfg.date.rho, "fraction": cfg.date.fraction,
-            "placement": cfg.date.placement,
-            "update_steps": None if cfg.date.update_steps is None
-            else list(cfg.date.update_steps),
-            "origin": cfg.date.origin, "l2_weight": cfg.date.l2_weight,
-            "iters_per_update": cfg.date.iters_per_update},
-        "h": {"kind": cfg.h.kind, "seed": cfg.h.seed,
-              "feature_dim": cfg.h.feature_dim, "sign": cfg.h.sign,
-              "weights": [{"kind": k, "weight": w} for k, w in cfg.h.weights]},
-        "n_samples": cfg.n_samples,
-        "out_dir": cfg.out_dir,
-    }
+    out = asdict(cfg)
+    out["h"]["weights"] = [{"kind": k, "weight": w} for k, w in cfg.h.weights]
+    return out

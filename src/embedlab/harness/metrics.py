@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtr
 
 
 class MetricsError(ValueError):
@@ -62,8 +62,10 @@ def paired_ttest(a, b):
         t_stat = 0.0
     else:
         t_stat = float(np.inf * np.sign(np.mean(d)))
-    p_greater = float(stats.t.sf(t_stat, df=n - 1))
-    p_two = float(2.0 * stats.t.sf(abs(t_stat), df=n - 1))
+    # stdtr(df, -t) is the upper tail of Student's t, as scipy.stats.t.sf
+    # computes it, without importing scipy.stats
+    p_greater = float(stdtr(n - 1, -t_stat))
+    p_two = float(2.0 * stdtr(n - 1, -abs(t_stat)))
     return {"mean_diff": float(np.mean(d)), "t_stat": t_stat,
             "p_greater": p_greater, "p_two_sided": p_two}
 

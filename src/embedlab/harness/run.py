@@ -27,7 +27,7 @@ then take the reverse step.
 from __future__ import annotations
 
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -63,30 +63,24 @@ def build_h(spec, task):
     if spec.kind == "quadratic":
         return QuadraticAlignment.for_task(task, sign=spec.sign)
     if spec.kind == "composite":
-        parts = []
-        for kind, w in spec.weights:
-            if kind == "cosine":
-                parts.append((CosineAlignment.for_task(task, feature_dim=spec.feature_dim,
-                                                       seed=spec.seed), w))
-            else:
-                parts.append((QuadraticAlignment.for_task(task, sign=spec.sign), w))
-        return CompositeAlignment(parts)
+        return CompositeAlignment([(build_h(replace(spec, kind=kind), task), w)
+                                   for kind, w in spec.weights])
     raise ConfigError(f"unknown h kind {spec.kind!r}")
 
 
-def _date_config(cfg):
+def _update_steps(cfg):
+    """The timesteps at which cfg updates its embedding: none without a
+    date section."""
     if cfg.date is None:
-        return None
+        return frozenset()
     if cfg.date.update_steps is not None:
-        steps = frozenset(cfg.date.update_steps)
-    else:
-        steps = build_update_schedule(cfg.schedule.T, cfg.date.fraction, cfg.date.placement)
-    return DateConfig(rho=cfg.date.rho, update_steps=steps, origin=cfg.date.origin,
-                      l2_weight=cfg.date.l2_weight, iters_per_update=cfg.date.iters_per_update)
+        return frozenset(cfg.date.update_steps)
+    return build_update_schedule(cfg.schedule.T, cfg.date.fraction, cfg.date.placement)
 
 
 def build_objects(cfg):
-    """Materialize the runtime pieces an experiment needs from its config."""
+    """Materialize the runtime pieces an experiment needs from its config:
+    the task, schedule, model, alignment h and update steps."""
     task = default_task(seed=cfg.model.task_seed)
     sched = make_schedule(cfg.schedule.T, cfg.schedule.kind,
                           cfg.schedule.beta_lo, cfg.schedule.beta_hi)
@@ -94,7 +88,7 @@ def build_objects(cfg):
         model = load_checkpoint(cfg.model.checkpoint)
     else:
         model = task.model
-    return task, sched, model, build_h(cfg.h, task), _date_config(cfg)
+    return task, sched, model, build_h(cfg.h, task), _update_steps(cfg)
 
 
 def run_experiment(cfg):
@@ -150,8 +144,10 @@ def run_variants(cfgs):
     y = base.prompt
     if y >= task.n_prompts:
         raise ConfigError(f"prompt: id {y} outside 0..{task.n_prompts - 1}")
-    # a variant without a date section never updates: its schedule is empty
-    dates = [_date_config(cfg) or DateConfig() for cfg in cfgs]
+    # a variant without a date section has no update steps, so its
+    # settings are never read
+    dates = [cfg.date or DateConfig() for cfg in cfgs]
+    update_steps = [_update_steps(cfg) for cfg in cfgs]
     guides = [cfg.guidance for cfg in cfgs]
     c_enc = task.embedding(y)
     T = sched.T
@@ -197,7 +193,7 @@ def run_variants(cfgs):
     t_denoise = 0.0
 
     for t in range(T, 0, -1):
-        due = [t in dc.update_steps for dc in dates]
+        due = [t in steps for steps in update_steps]
         if any(due):
             tic = time.perf_counter()
             # fresh rows start from the encoder output, previous ones from c
@@ -206,11 +202,8 @@ def run_variants(cfgs):
             dated = [u and g.kind != "ablation" for u, g in zip(due, guides)]
             rows = _rows(dated, n)
             if rows is not None:
-                # rows that share one DateConfig take its scalar settings
-                shared = {dc for dc, u in zip(dates, dated) if u}
-                settings = shared.pop() if len(shared) == 1 else date_rows[rows]
-                c[rows] = multi_iter_update(x[rows], origin[rows], t, settings, model, sched,
-                                            h, y, c_encoder=c_enc, cache=cache)
+                c[rows] = multi_iter_update(x[rows], origin[rows], t, date_rows[rows], model,
+                                            sched, h, y, c_encoder=c_enc, cache=cache)
             for a in ablations:
                 rows = _rows([u and g.ablation_kind == a for u, g in zip(due, guides)], n)
                 if rows is not None:

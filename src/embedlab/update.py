@@ -13,7 +13,7 @@ regularizer toward the encoder embedding keeps the walk anchored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,22 +27,32 @@ class UpdateError(ValueError):
 
 @dataclass(frozen=True)
 class DateConfig:
+    """The update settings: the config file's date section and the runtime
+    settings at once.  Explicit update_steps override fraction/placement."""
     rho: float = 0.5
-    update_steps: frozenset = field(default_factory=frozenset)
+    fraction: float = 0.1
+    placement: str = "uniform"       # "uniform" | "early" | "mid" | "late" | "all"
+    update_steps: tuple | None = None
     origin: str = "fresh"            # "fresh" | "previous"
     l2_weight: float = 0.1
     iters_per_update: int = 1
 
     def __post_init__(self):
         if not (np.isfinite(self.rho) and self.rho > 0.0):
-            raise UpdateError("rho must be finite and positive")
+            raise UpdateError("rho: must be finite and positive")
+        if not (0.0 <= self.fraction <= 1.0):
+            raise UpdateError("fraction: must lie in [0, 1]")
+        if self.placement not in ("uniform", "early", "mid", "late", "all"):
+            raise UpdateError("placement: must be uniform/early/mid/late/all")
         if self.origin not in ("fresh", "previous"):
-            raise UpdateError(f"unknown origin strategy {self.origin!r}")
+            raise UpdateError("origin: must be 'fresh' or 'previous'")
         if self.l2_weight < 0.0:
-            raise UpdateError("l2_weight must be >= 0")
+            raise UpdateError("l2_weight: must be >= 0")
         if self.iters_per_update < 1:
-            raise UpdateError("iters_per_update must be >= 1")
-        object.__setattr__(self, "update_steps", frozenset(int(t) for t in self.update_steps))
+            raise UpdateError("iters_per_update: must be >= 1")
+        if self.update_steps is not None:
+            object.__setattr__(self, "update_steps",
+                               tuple(sorted(int(t) for t in self.update_steps)))
 
     @property
     def anchored(self):
@@ -148,8 +158,6 @@ def build_update_schedule(T_steps, fraction, placement="uniform"):
     m = int(np.ceil(fraction * T_steps))
     if m == 0:
         return frozenset()
-    if m > T_steps:
-        m = T_steps
     if placement == "uniform":
         steps = np.unique(np.round(np.linspace(1, T_steps, m)).astype(int))
         return frozenset(int(s) for s in steps)

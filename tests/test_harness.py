@@ -1,14 +1,17 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import embedlab
 from embedlab.harness.cli import cli_dispatch, write_csv, write_json
 from embedlab.harness.config import (
     ConfigError,
-    DateSpec,
+    DateConfig,
     config_from_dict,
     config_to_dict,
     load_config,
@@ -205,6 +208,15 @@ class TestPairedTtest:
         out = paired_ttest(a, b)
         assert out["p_two_sided"] > 0.01
 
+    def test_cli_import_leaves_out_scipy_stats(self):
+        """Importing scipy.stats would dominate every command's start-up
+        time and memory; paired_ttest takes its t tail from scipy.special."""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(embedlab.__file__)))
+        code = "import sys, embedlab.harness.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True)
+        assert out.stdout.strip() == "False"
+
 
 _T = 30   # small_cfg's steps; step t of a run sits at index _T - t
 
@@ -236,7 +248,7 @@ class TestRunExperiment:
 
     def test_update_steps_change_embedding_only_there(self, small_cfg):
         cfg = dataclasses.replace(
-            small_cfg, date=DateSpec(rho=0.5, update_steps=(10, 20)))
+            small_cfg, date=DateConfig(rho=0.5, update_steps=(10, 20)))
         run, _ = run_experiment(cfg)
         task, _, _, _, _ = build_objects(cfg)
         c_org = task.embedding(cfg.prompt)
@@ -250,7 +262,7 @@ class TestRunExperiment:
 
     def test_fresh_origin_ball_invariant(self, small_cfg):
         cfg = dataclasses.replace(
-            small_cfg, date=DateSpec(rho=0.4, fraction=1.0, placement="all"))
+            small_cfg, date=DateConfig(rho=0.4, fraction=1.0, placement="all"))
         run, _ = run_experiment(cfg)
         task, _, _, _, _ = build_objects(cfg)
         c_org = task.embedding(cfg.prompt)
@@ -259,7 +271,7 @@ class TestRunExperiment:
     def test_previous_origin_k_rho_invariant(self, small_cfg):
         cfg = dataclasses.replace(
             small_cfg,
-            date=DateSpec(rho=0.4, fraction=1.0, placement="all", origin="previous"))
+            date=DateConfig(rho=0.4, fraction=1.0, placement="all", origin="previous"))
         run, _ = run_experiment(cfg)
         task, _, _, _, _ = build_objects(cfg)
         c_org = task.embedding(cfg.prompt)
@@ -271,8 +283,8 @@ class TestRunExperiment:
         encoder output before the first), so without the pull toward the
         encoder every update moves exactly rho from the step before."""
         cfg = dataclasses.replace(
-            small_cfg, date=DateSpec(rho=0.4, update_steps=(10, 20, 30), origin="previous",
-                                     l2_weight=0.0))
+            small_cfg, date=DateConfig(rho=0.4, update_steps=(10, 20, 30), origin="previous",
+                                       l2_weight=0.0))
         run, _ = run_experiment(cfg)
         task, _, _, _, _ = build_objects(cfg)
         c_enc = np.broadcast_to(task.embedding(cfg.prompt), run.c_t[:, :1].shape)
@@ -285,7 +297,7 @@ class TestRunExperiment:
         their trajectories coincide until the first update step."""
         fixed = dataclasses.replace(small_cfg, date=None)
         dated = dataclasses.replace(small_cfg,
-                                    date=DateSpec(rho=0.5, update_steps=(15,)))
+                                    date=DateConfig(rho=0.5, update_steps=(15,)))
         rf, _ = run_experiment(fixed)
         rd, _ = run_experiment(dated)
         # steps t = 30 .. 16

@@ -13,6 +13,7 @@ from embedlab.models import MixtureModel, ScoreNet, default_task
 from embedlab.schedules import default_schedule, tweedie_mean
 from embedlab.update import (
     DateConfig,
+    DateRows,
     UpdateError,
     build_update_schedule,
     date_update,
@@ -229,6 +230,28 @@ class TestMultiIter:
         out = multi_iter_update(np.ones(2), c, 40, cfg, task.model, sched, h, 0)
         np.testing.assert_array_equal(out, c)
 
+    @pytest.mark.parametrize("origin, l2_weight", [
+        ("fresh", 0.1), ("previous", 0.0), ("previous", 0.3)])
+    @pytest.mark.parametrize("iters", [1, 3])
+    def test_scalar_settings_match_repeated_rows(self, task, sched, cos_h, origin,
+                                                 l2_weight, iters):
+        """One DateConfig for a whole batch gives the bits of its settings
+        repeated per row, anchored or not."""
+        cfg = DateConfig(rho=0.7, origin=origin, l2_weight=l2_weight, iters_per_update=iters)
+        rows = DateRows.repeat([cfg], 5)
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((5, 2)) * 1.5
+        c = task.embedding(1) + 0.5 * rng.standard_normal((5, 4))
+        kw = {"c_encoder": task.embedding(1)}
+        c_cfg, u_cfg = date_update(x, c, 40, cfg, task.model, sched, cos_h, 1, **kw)
+        c_rows, u_rows = date_update(x, c, 40, rows, task.model, sched, cos_h, 1, **kw)
+        np.testing.assert_array_equal(c_cfg, c_rows)
+        np.testing.assert_array_equal(u_cfg.eps, u_rows.eps)
+        assert u_cfg.grad_norm == u_rows.grad_norm
+        np.testing.assert_array_equal(
+            multi_iter_update(x, c, 40, cfg, task.model, sched, cos_h, 1, **kw),
+            multi_iter_update(x, c, 40, rows, task.model, sched, cos_h, 1, **kw))
+
     def test_triangle_inequality_bound(self, task, sched, cos_h):
         cfg = DateConfig(rho=0.5, update_steps=frozenset([40]), iters_per_update=3)
         c = task.embedding(2)
@@ -238,11 +261,14 @@ class TestMultiIter:
 
 
 def test_config_validation():
-    with pytest.raises(UpdateError):
-        DateConfig(rho=-0.5)
-    with pytest.raises(UpdateError):
-        DateConfig(origin="middle")
-    with pytest.raises(UpdateError):
-        DateConfig(iters_per_update=0)
-    with pytest.raises(UpdateError):
-        DateConfig(l2_weight=-1.0)
+    for bad, field in [({"rho": -0.5}, "rho"), ({"fraction": 1.5}, "fraction"),
+                       ({"placement": "sideways"}, "placement"), ({"origin": "middle"}, "origin"),
+                       ({"iters_per_update": 0}, "iters_per_update"),
+                       ({"l2_weight": -1.0}, "l2_weight")]:
+        with pytest.raises(UpdateError, match=f"^{field}: "):
+            DateConfig(**bad)
+
+
+def test_update_steps_sorted_tuple():
+    assert DateConfig().update_steps is None
+    assert DateConfig(update_steps=frozenset([30, 4, 17])).update_steps == (4, 17, 30)
