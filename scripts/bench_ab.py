@@ -4,7 +4,7 @@
     python3 scripts/bench_ab.py --workload learned,adaptive,compare,verify \
         --seeds 10-19 [--parent HEAD] [--tier1 N] [--out BENCH_<n>.json]
     python3 scripts/bench_ab.py --cmd "verify --check optimization_chain --seed 0" \
-        [--parent HEAD] [--out FILE]
+        [--cmd "verify --seed 0" ...] [--parent HEAD] [--out FILE]
 
 Exports the parent revision's files (``git archive``) into a temporary
 directory, then, workload by workload, for each seed runs
@@ -36,9 +36,10 @@ revisions, the machine (from the runs' ``env`` line), the workloads and
 seeds, every pair's values, each metric's medians, quartiles and verdict,
 and the Tier-1 times to a JSON file.  The temporary copy is removed on exit.
 
-``--cmd`` times one ``embedlab`` command line instead, run as ``python -m
+``--cmd`` times an ``embedlab`` command line instead, run as ``python -m
 embedlab CMD`` against each tree's ``src`` from a fresh empty directory, so
-its reports land there, over 10 alternating pairs.  It reports the same
+its reports land there, over 10 alternating pairs; each repeated ``--cmd``
+is timed the same way after the one before it.  It reports the same
 table for the command's wall seconds and its peak RSS (``ru_maxrss`` from
 ``os.wait4``), with bounds taken from ``BENCHMARK.json``'s ``ops_per_s`` and
 ``peak_rss_mb``; a command that exits nonzero prints its side and stderr
@@ -306,8 +307,10 @@ def main(argv=None):
     what = p.add_mutually_exclusive_group(required=True)
     what.add_argument("--workload", type=parse_workloads,
                       help=f"one workload or a comma list of {', '.join(WORKLOADS)}")
-    what.add_argument("--cmd", help="an embedlab command line to time instead, e.g. "
-                                    "'verify --check optimization_chain --seed 0'")
+    what.add_argument("--cmd", action="append",
+                      help="an embedlab command line to time instead, e.g. "
+                           "'verify --check optimization_chain --seed 0'; repeat it "
+                           "to time several, one after another")
     p.add_argument("--seeds", help="'10-19' or a comma list (with --workload)")
     p.add_argument("--parent", default="HEAD", help="parent revision (default HEAD)")
     p.add_argument("--tier1", type=int, default=0, metavar="N",
@@ -337,10 +340,10 @@ def main(argv=None):
     try:
         export_tree(rev, tree)
         if args.cmd:
-            record["command"] = "embedlab " + args.cmd
-            record["results"][args.cmd] = time_cmd(
-                tree, rev, args.cmd, tmp,
-                {m["name"]: m["bound"] for m in metrics})
+            record["commands"] = ["embedlab " + cmd for cmd in args.cmd]
+        for cmd in args.cmd or []:
+            record["results"][cmd] = time_cmd(tree, rev, cmd, tmp,
+                                              {m["name"]: m["bound"] for m in metrics})
         for workload in args.workload or []:
             runs, pairs = [], []
             for i, seed in enumerate(seeds):

@@ -38,15 +38,18 @@ class GuidanceConfig:
     rho: float | None = None
 
     def __post_init__(self):
+        # each message starts with its field, so a config error names its key
         if self.kind not in _KINDS:
-            raise GuidanceError(f"unknown guidance kind {self.kind!r}")
+            raise GuidanceError(f"kind: unknown guidance kind {self.kind!r}")
         if not np.isfinite(self.w):
-            raise GuidanceError("guidance scale must be finite")
+            raise GuidanceError("w: guidance scale must be finite")
         if self.kind == "ablation":
             if self.ablation_kind not in _ABLATIONS:
-                raise GuidanceError(f"unknown ablation kind {self.ablation_kind!r}")
+                raise GuidanceError(f"ablation_kind: unknown ablation kind {self.ablation_kind!r}")
         elif self.ablation_kind is not None:
-            raise GuidanceError("ablation_kind only applies to kind='ablation'")
+            raise GuidanceError("ablation_kind: only applies to kind='ablation'")
+        if self.rho is not None and not (np.isfinite(self.rho) and self.rho > 0.0):
+            raise GuidanceError("rho: must be finite and positive")
 
 
 def cfg_score(s_cond, s_uncond, w):

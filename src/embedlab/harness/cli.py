@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -260,7 +261,10 @@ def cmd_verify(args):
     return 0 if all_ok else 1
 
 
+@functools.cache
 def build_parser():
+    """The CLI's parser, built once per process; subcommand NAME runs
+    cmd_NAME, looked up at dispatch."""
     p = argparse.ArgumentParser(prog="embedlab",
                                 description="desk-scale adaptive-embedding diffusion lab")
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -276,27 +280,22 @@ def build_parser():
     sp.add_argument("--steps", type=int, default=6000)
     sp.add_argument("--batch", type=int, default=256)
     sp.add_argument("--lr", type=float, default=2e-3)
-    sp.set_defaults(fn=cmd_train)
 
     sp = sub.add_parser("sample", help="run one experiment")
     common(sp)
-    sp.set_defaults(fn=cmd_sample)
 
     sp = sub.add_parser("compare", help="fixed vs adaptive vs baselines, paired")
     common(sp)
-    sp.set_defaults(fn=cmd_compare)
 
     sp = sub.add_parser("sweep", help="grid over one update parameter")
     common(sp)
     sp.add_argument("--param", required=True, choices=_SWEEP_PARAMS)
     sp.add_argument("--values", required=True, help="comma-separated values")
-    sp.set_defaults(fn=cmd_sweep)
 
     sp = sub.add_parser("verify", help="run the theory-check suite")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--check", choices=ALL_CHECKS, help="run a single check")
     sp.add_argument("--out", help="output directory (default: out)")
-    sp.set_defaults(fn=cmd_verify)
     return p
 
 
@@ -307,7 +306,7 @@ def cli_dispatch(argv):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
-        return args.fn(args)
+        return globals()["cmd_" + args.cmd](args)
     except (ValueError, RuntimeError, OSError) as exc:
         # covers config, schedule, model, graph, update, and metric errors
         print(f"error: {exc}", file=sys.stderr)

@@ -11,6 +11,7 @@ the identity.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields
 
@@ -91,13 +92,18 @@ def _int(v):
 
 
 def _float(v):
-    """float(v), refusing a bool or a string."""
+    """float(v), refusing a bool, a string, NaN and the infinities (json.load
+    reads the NaN and Infinity literals)."""
     if isinstance(v, (bool, str)):
         raise TypeError(v)
-    return float(v)
+    v = float(v)
+    if not math.isfinite(v):
+        raise ValueError(v)
+    return v
 
 
 _CONVERT = {"int": _int, "float": _float, "str": str}
+_EXPECTED = {"float": "finite float"}
 
 
 def _as(kind, v, path):
@@ -106,7 +112,7 @@ def _as(kind, v, path):
     try:
         return _CONVERT[kind](v)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{path}: expected {kind}, got {v!r}") from exc
+        raise ConfigError(f"{path}: expected {_EXPECTED.get(kind, kind)}, got {v!r}") from exc
 
 
 def _spec(cls, d, section, **given):
@@ -156,7 +162,8 @@ def config_from_dict(raw):
              and all(isinstance(p, dict) and set(p) == {"kind", "weight"} for p in parts),
              "h.weights", 'must be a list of {"kind": ..., "weight": ...} objects')
     h = _spec(HSpec, hd, "h", weights=tuple(
-        (str(p["kind"]), _as("float", p["weight"], "h.weights")) for p in parts))
+        (str(p["kind"]), _as("float", p["weight"], f"h.weights[{i}].weight"))
+        for i, p in enumerate(parts)))
     _require(h.kind in ("cosine", "quadratic", "composite"), "h.kind",
              "must be 'cosine', 'quadratic', or 'composite'")
     _require(h.sign in (-1.0, 1.0), "h.sign", "must be -1 or +1")
@@ -171,7 +178,7 @@ def config_from_dict(raw):
     try:
         guidance = _spec(GuidanceConfig, _section(raw, "guidance"), "guidance")
     except GuidanceError as exc:
-        raise ConfigError(f"guidance: {exc}") from exc
+        raise ConfigError(f"guidance.{exc}") from exc
     if guidance.kind in ("cfg", "cg", "ug"):
         _require(model.kind == "analytic", "guidance.kind",
                  "score-composition guidance needs the analytic model")

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from functools import reduce
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,63 +37,83 @@ class TrainingDiverged(RuntimeError):
         self.step = step
 
 
-# The mixture reduces over axes of 1-4 entries (K components, d data
-# dimensions, P prompts).  numpy's reduce over such an axis runs one short
-# inner loop per row (per index of the axes before it), so over many rows a
-# chain of elementwise ops on the axis's slices is several times faster,
-# while over few rows, and at axis 0, one reduce call costs less than the
-# chain's calls.  Both give np.sum's and np.max's bits: below _CHAIN_MAX
-# entries numpy adds an axis's slices one after another, starting from
-# +0.0; from it on it sums a contiguous last axis pairwise, so longer axes
-# always take the reduce.
+# The mixture's batched math is laid out components first: every internal
+# array is (K, d, *rows), or (K, *rows) after the sum over d, with rows the
+# broadcast leading axes of x and c.  So every elementwise op, broadcasts
+# included, runs one long inner loop over the rows, and a sum or max over K,
+# d or the P prompts is a chain of whole-slice ops along a leading axis.
+#
+# The chains keep the bits np.sum and np.max gave on the rows-first
+# (*rows, K, d) layout.  There numpy added an axis of fewer than _CHAIN_MAX
+# entries one entry after another, starting from +0.0, as the chain does.
+# From _CHAIN_MAX entries on it summed the axis pairwise where it was the
+# innermost loop, that is where only size-1 axes followed it (the caller
+# says so with `inner`), and such an axis is copied last and handed to
+# numpy's reduce; elsewhere numpy still added one entry after another.
 _CHAIN_MAX = 8
-_CHAIN_MIN_ROWS = 128   # where the chain overtook the reduce on (rows, 2) and (rows, K, d)
 
 
-def _chained(a, axis):
-    return a.shape[axis] < _CHAIN_MAX and math.prod(a.shape[:axis]) >= _CHAIN_MIN_ROWS
-
-
-def _at(axis, i):
-    """Index tuple selecting entry i of `axis` (i=None inserts a new axis)."""
-    if axis < 0:
-        return (Ellipsis, i) + (slice(None),) * (-1 - axis)
-    return (slice(None),) * axis + (i,)
-
-
-def _sum(a, axis):
-    """np.sum(a, axis) to the last bit, as a fresh array."""
-    if not _chained(a, axis):
-        return np.add.reduce(a, axis)
-    first, *rest = (a[_at(axis, i)] for i in range(a.shape[axis]))
-    out = first + 0.0      # numpy's sum starts from +0.0: -0.0 terms sum to +0.0
-    for part in rest:
-        out += part
+def _sum(a, axis=0, inner=True, negzero=True):
+    """np.sum over a leading axis to the last bit, as a fresh array.  `inner`
+    says whether the rows-first layout had the axis innermost.  negzero=False
+    promises that no term is -0.0, so the chain need not start from +0.0."""
+    n = a.shape[axis]
+    if n >= _CHAIN_MAX and inner:
+        return np.add.reduce(np.moveaxis(a, axis, -1).copy(), -1)
+    if axis:
+        a = a.swapaxes(0, axis)
+    # numpy's sum starts from +0.0, so -0.0 terms alone sum to +0.0
+    pair = n > 1 and not negzero
+    out = a[0] + (a[1] if pair else 0.0)
+    for i in range(1 + pair, n):
+        out += a[i]
     return out
 
 
-def _max(a, axis):
-    """np.max(a, axis) to the last bit, as a fresh array."""
-    if not _chained(a, axis):
-        return np.maximum.reduce(a, axis)
-    first, *rest = (a[_at(axis, i)] for i in range(a.shape[axis]))
-    return reduce(np.maximum, rest, first) if rest else first.copy()
+def _max(a, inner=True):
+    """np.max over axis 0 to the last bit, as a fresh array; `inner` as for
+    _sum."""
+    n = len(a)
+    if n >= _CHAIN_MAX and inner:
+        return np.maximum.reduce(np.moveaxis(a, 0, -1).copy(), -1)
+    out = a[0]
+    for i in range(1, n):
+        out = np.maximum(out, a[i])
+    return out if n > 1 else out.copy()
 
 
-def _logsumexp(a, axis=-1):
-    m = _max(a, axis)
-    return m + np.log(_sum(np.exp(a - m[_at(axis, None)]), axis))
+def _logsumexp(a, inner=True):
+    """log sum exp over axis 0."""
+    m = _max(a, inner)
+    e = a - m
+    return m + np.log(_sum(np.exp(e, out=e), 0, inner, negzero=False))
 
 
 def _responsibilities(comp):
-    return np.exp(comp - _logsumexp(comp)[..., None])
+    r = comp - _logsumexp(comp)
+    return np.exp(r, out=r)
+
+
+def _front(a, n, nrows):
+    """View of a, shaped (*r, *c) with n trailing axes c, as (*c, *r), r
+    padded in front with 1s to nrows axes."""
+    if a.ndim < nrows + n:
+        a = a.reshape((1,) * (nrows + n - a.ndim) + a.shape)
+    return a.transpose((*range(nrows, nrows + n), *range(nrows)))
+
+
+def _back(a):
+    """(n, *rows) as a C-ordered (*rows, n) array."""
+    return np.ascontiguousarray(a.transpose((*range(1, a.ndim), 0)))
 
 
 def _score_from(comp, diff, variances):
-    """sum_k r_k (mu_k - x) / var_k from a log joint; overwrites diff."""
+    """sum_k r_k (mu_k - x) / var_k, shape (d, *rows), from a log joint;
+    overwrites diff."""
     np.negative(diff, out=diff)
     diff /= variances
-    return _sum(_responsibilities(comp)[..., None] * diff, -2)
+    diff *= _responsibilities(comp)[:, None]
+    return _sum(diff, 0, diff.shape[1] == 1)
 
 
 @dataclass(frozen=True)
@@ -111,6 +130,10 @@ class MixtureModel:
     mean_offsets: np.ndarray   # (K, d)
     covs: np.ndarray           # (K, d) diagonal entries
     weight_logits: np.ndarray  # (K, e)
+    # mean_maps with weight_logits as entry d, (K, d + 1, e): one einsum
+    # gives M_k c and a_k . c, each with the bits of its own einsum
+    _maps: np.ndarray = field(init=False, repr=False, compare=False)
+    _variances: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("mean_maps", "mean_offsets", "covs", "weight_logits"):
@@ -124,6 +147,8 @@ class MixtureModel:
             raise ModelError("weight_logits must have shape (K, e)")
         if np.any(self.covs <= 0.0):
             raise ModelError("component covariances must be positive")
+        object.__setattr__(self, "_maps", np.concatenate(
+            [self.mean_maps, self.weight_logits[:, None]], axis=1))
 
     @property
     def n_components(self):
@@ -140,34 +165,58 @@ class MixtureModel:
     # -- exact quantities ---------------------------------------------------
 
     def weights(self, c):
-        logits = np.einsum("ke,...e->...k", self.weight_logits, np.asarray(c, dtype=np.float64))
-        e = np.exp(logits - _max(logits, -1)[..., None])
-        return e / _sum(e, -1)[..., None]
+        c = np.asarray(c, dtype=np.float64)
+        logits = _front(np.einsum("ke,...e->...k", self.weight_logits, c), 1, c.ndim - 1)
+        e = np.exp(logits - _max(logits))
+        return _back(e / _sum(e, negzero=False))
 
     def component_means(self, c):
         """Clean-data component means M_k c + b_k, shape (..., K, d)."""
-        c = np.asarray(c, dtype=np.float64)
+        c = np.ascontiguousarray(c, dtype=np.float64)
         return np.einsum("kde,...e->...kd", self.mean_maps, c) + self.mean_offsets
 
     def perturbed_params(self, c, t, sched):
         """Means and diagonal variances of the step-t perturbed mixture."""
         ab = sched.alpha_bar(t)
         means = np.sqrt(ab) * self.component_means(c)
-        variances = ab * self.covs + (1.0 - ab)
-        return means, variances
+        return means, self._perturbed_variances(ab, 0)[0]
 
-    def _log_weights(self, c):
-        logits = np.einsum("ke,...e->...k", self.weight_logits, c)
-        return logits - _logsumexp(logits)[..., None]
+    def _perturbed_variances(self, ab, nrows):
+        """ab S_k + 1 - ab and log(2 pi var), read-only, shaped (K, d, 1, ...)
+        with nrows trailing 1s; kept per (ab, nrows), a few per timestep."""
+        key = (ab, nrows)
+        got = self._variances.get(key)
+        if got is None:
+            var = (ab * self.covs + (1.0 - ab)).reshape(self.covs.shape + (1,) * nrows)
+            got = self._variances[key] = (var, np.log(2.0 * np.pi * var))
+            for a in got:
+                a.flags.writeable = False
+        return got
 
     def _log_joint(self, x, c, t, sched):
-        """log w_k(c) + log N_t(x; mu_k, var_k), shape (..., K), with x - mu_k,
-        shape (..., K, d), and the variances, shape (K, d).  Leading axes of x
-        and c broadcast, so embeddings stacked on a new axis take one pass."""
-        means, variances = self.perturbed_params(c, t, sched)
-        diff = np.asarray(x, dtype=np.float64)[..., None, :] - means
-        logpdfs = -0.5 * _sum(diff * diff / variances + np.log(2.0 * np.pi * variances), -1)
-        return self._log_weights(c) + logpdfs, diff, variances
+        """log w_k(c) + log N_t(x; mu_k, var_k), shape (K, *rows), with x - mu_k,
+        shape (K, d, *rows), and the variances, shape (K, d, 1, ...).  rows
+        broadcasts the leading axes of x and c, so embeddings stacked on a new
+        axis take one pass."""
+        x = np.asarray(x, dtype=np.float64)
+        # einsum sums a strided embedding axis in another order
+        c = np.ascontiguousarray(c, dtype=np.float64)
+        nrows = max(x.ndim, c.ndim) - 1
+        ab = sched.alpha_bar(t)
+        maps = np.einsum("kde,...e->...kd", self._maps, c)
+        means = maps[..., :-1] + self.mean_offsets
+        means *= np.sqrt(ab)
+        variances, log_norm = self._perturbed_variances(ab, nrows)
+        diff = np.subtract(_front(x, 1, nrows), _front(means, 2, nrows), order="C")
+        q = diff * diff
+        q /= variances
+        q += log_norm
+        # diff^2 / var >= +0, so no term is -0.0
+        comp = _sum(q, 1, negzero=False)
+        comp *= -0.5
+        logits = _front(maps[..., -1], 1, nrows)
+        comp += logits - _logsumexp(logits)
+        return comp, diff, variances
 
     def log_likelihood(self, x, c, t, sched):
         """Exact log p_t(x | c); batched over leading axes of x (and c)."""
@@ -175,23 +224,28 @@ class MixtureModel:
 
     def score(self, x, c, t, sched):
         """Exact conditional score grad_x log p_t(x | c)."""
-        return _score_from(*self._log_joint(x, c, t, sched))
+        return _back(_score_from(*self._log_joint(x, c, t, sched)))
 
     def grad_c_log_likelihood(self, x, c, t, sched):
         """Exact grad_c log p_t(x | c) for a single (x, c) pair."""
         ab = sched.alpha_bar(t)
+        c = np.ascontiguousarray(c, dtype=np.float64)
         comp, diff, variances = self._log_joint(x, c, t, sched)
-        mean_logit = np.exp(self._log_weights(c)) @ self.weight_logits
+        logits = np.einsum("ke,...e->...k", self.weight_logits, c)
+        mean_logit = np.exp(logits - _logsumexp(logits)) @ self.weight_logits
         pulls = np.sqrt(ab) * self.mean_maps.transpose(0, 2, 1) @ (diff / variances)[..., None]
         return _sum(_responsibilities(comp)[:, None]
-                    * (self.weight_logits - mean_logit + pulls[..., 0]), 0)
+                    * (self.weight_logits - mean_logit + pulls[..., 0]), 0, self.embed_dim == 1)
 
     def posterior_mean_x0(self, x_t, c, t, sched):
         """Responsibility-weighted posterior mean E[x0 | x_t, c], exact."""
         ab = sched.alpha_bar(t)
         comp, diff, variances = self._log_joint(x_t, c, t, sched)
-        cond_means = self.component_means(c) + np.sqrt(ab) * self.covs / variances * diff
-        return _sum(_responsibilities(comp)[..., None] * cond_means, -2)
+        # M_k c + b_k + sqrt(ab) S_k / var_k (x - mu_k), in place of diff
+        diff *= np.sqrt(ab) * self.covs.reshape(variances.shape) / variances
+        diff += _front(self.component_means(c), 2, comp.ndim - 1)
+        diff *= _responsibilities(comp)[:, None]
+        return _back(_sum(diff, 0, self.data_dim == 1))
 
     def moments_x0(self, c):
         """Mean and covariance of the clean conditional p(x0 | c)."""
@@ -416,10 +470,15 @@ def unconditional_score(conditionals, priors, x, t, sched):
     """
     model, cs, priors = prompt_stack(conditionals, priors)
     lift = (len(cs),) + (1,) * (np.ndim(x) - 1)
-    joint = model._log_joint(x, cs.reshape(lift + cs.shape[-1:]), t, sched)
-    lp = _logsumexp(joint[0]) + np.log(priors).reshape(lift)
-    log_post = lp - _logsumexp(lp, axis=0)
-    return _sum(np.exp(log_post)[..., None] * _score_from(*joint), 0)
+    comp, diff, variances = model._log_joint(x, cs.reshape(lift + cs.shape[-1:]), t, sched)
+    lp = _logsumexp(comp) + np.log(priors).reshape(lift)
+    # numpy reduced P innermost in the rows-first (P, *rows, d) layout only
+    # for a single x (and for the score only at d = 1)
+    alone = lp.size == len(cs)
+    post = lp - _logsumexp(lp, alone)
+    s = _score_from(comp, diff, variances)
+    s *= np.exp(post, out=post)
+    return _back(_sum(s, 1, alone and model.data_dim == 1))
 
 
 def ddpm_chain(model, sched, x_t, t, c, n, rng):

@@ -46,8 +46,8 @@ class DateConfig:
             raise UpdateError("placement: must be uniform/early/mid/late/all")
         if self.origin not in ("fresh", "previous"):
             raise UpdateError("origin: must be 'fresh' or 'previous'")
-        if self.l2_weight < 0.0:
-            raise UpdateError("l2_weight: must be >= 0")
+        if not (np.isfinite(self.l2_weight) and self.l2_weight >= 0.0):
+            raise UpdateError("l2_weight: must be finite and >= 0")
         if self.iters_per_update < 1:
             raise UpdateError("iters_per_update: must be >= 1")
         if self.update_steps is not None:

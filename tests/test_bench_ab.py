@@ -203,11 +203,12 @@ def test_out_file_records_revisions_machine_pairs_and_tier1(tmp_path, monkeypatc
 
 def _stub_embedlab(repo, mb):
     """src/embedlab/__main__.py under `repo` that holds `mb` MB while it
-    runs, and exits 3 unless called as `verify --seed 0`."""
+    runs, and exits 3 unless called as `verify [--check x] --seed 0`."""
     main = repo / "src" / "embedlab" / "__main__.py"
     main.parent.mkdir(parents=True, exist_ok=True)
     main.write_text("import sys\n"
-                    "if sys.argv[1:] != ['verify', '--seed', '0']:\n"
+                    "if sys.argv[1:] not in (['verify', '--seed', '0'],\n"
+                    "                        ['verify', '--check', 'x', '--seed', '0']):\n"
                     "    sys.exit(3)\n"
                     f"held = b'x' * ({mb} << 20)\n"
                     "open('verify.json', 'w').write('{}')\n")
@@ -228,19 +229,21 @@ def test_cmd_times_an_embedlab_command_in_both_trees(tmp_path):
     script = repo / "scripts" / "bench_ab.py"
     script.write_text(open(_PATH).read())
     out = tmp_path / "BENCH_0.json"
-    proc = subprocess.run([sys.executable, str(script), "--cmd", "verify --seed 0",
+    cmds = ["verify --seed 0", "verify --check x --seed 0"]
+    proc = subprocess.run([sys.executable, str(script), "--cmd", cmds[0], "--cmd", cmds[1],
                            "--out", str(out)], capture_output=True, text=True, check=True)
     assert "embedlab verify --seed 0, parent" in proc.stdout
     rec = json.loads(out.read_text())
-    assert rec["command"] == "embedlab verify --seed 0" and rec["revisions"]["change_uncommitted"]
-    res = rec["results"]["verify --seed 0"]
-    assert [p["first"] for p in res["pairs"]] == ["parent", "change"] * 5
-    # the change holds 64 MB more at its peak, in every pair
-    assert all(p["change"]["peak_rss_mb"] - p["parent"]["peak_rss_mb"] > 48
-               for p in res["pairs"])
-    rows = {r["name"]: r for r in res["metrics"]}
-    assert set(rows) == {"wall_s", "peak_rss_mb"} and rows["peak_rss_mb"]["wins"] == 0
-    assert rows["peak_rss_mb"]["verdict"] == "regression"
+    assert rec["commands"] == ["embedlab " + c for c in cmds]
+    assert rec["revisions"]["change_uncommitted"] and list(rec["results"]) == cmds
+    for res in rec["results"].values():
+        assert [p["first"] for p in res["pairs"]] == ["parent", "change"] * 5
+        # the change holds 64 MB more at its peak, in every pair
+        assert all(p["change"]["peak_rss_mb"] - p["parent"]["peak_rss_mb"] > 48
+                   for p in res["pairs"])
+        rows = {r["name"]: r for r in res["metrics"]}
+        assert set(rows) == {"wall_s", "peak_rss_mb"} and rows["peak_rss_mb"]["wins"] == 0
+        assert rows["peak_rss_mb"]["verdict"] == "regression"
     # the reports went to a scratch directory, not into either tree
     assert not (repo / "verify.json").exists()
     # a command that exits nonzero names its side and stops the script

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import embedlab
+from embedlab.guidance import GuidanceConfig, GuidanceError
 from embedlab.harness.cli import cli_dispatch, write_csv, write_json
 from embedlab.harness.config import (
     ConfigError,
@@ -25,6 +26,7 @@ from embedlab.harness.metrics import (
 )
 from embedlab.harness.run import build_objects, run_experiment, run_variants
 from embedlab.models import default_task
+from embedlab.update import UpdateError
 
 
 class TestConfig:
@@ -104,6 +106,43 @@ class TestConfig:
     def test_seeds_and_feature_dim_out_of_range(self, raw, path):
         with pytest.raises(ConfigError, match=f"^{path}: must be >= "):
             config_from_dict(raw)
+
+    @pytest.mark.parametrize("raw, path", [
+        ({"date": {"l2_weight": v}}, "date.l2_weight") for v in (np.nan, np.inf, -np.inf)
+    ] + [
+        ({"guidance": {"kind": "ablation", "ablation_kind": "random", "rho": v}}, "guidance.rho")
+        for v in (np.nan, np.inf, -np.inf)
+    ] + [
+        ({"h": {"kind": "composite", "weights": [{"kind": "cosine", "weight": 1.0},
+                                                 {"kind": "quadratic", "weight": v}]}},
+         r"h.weights\[1\].weight") for v in (np.nan, np.inf, -np.inf)
+    ])
+    def test_non_finite_numbers_name_the_key(self, raw, path):
+        with pytest.raises(ConfigError, match=f"^{path}: expected finite float"):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("rho", [-1.0, 0.0, -0.0])
+    def test_guidance_rho_must_be_positive(self, rho):
+        with pytest.raises(ConfigError, match="^guidance.rho: must be finite and positive"):
+            config_from_dict({"guidance": {"kind": "ablation", "ablation_kind": "random",
+                                           "rho": rho}})
+
+    def test_settings_refuse_non_finite_values_outside_configs(self):
+        with pytest.raises(UpdateError, match="^l2_weight: "):
+            DateConfig(l2_weight=float("nan"))
+        for rho in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(GuidanceError, match="^rho: "):
+                GuidanceConfig(kind="ablation", ablation_kind="random", rho=rho)
+
+    def test_json_nan_and_infinity_literals_refused(self, tmp_path):
+        """json.load reads NaN and Infinity; the loader refuses them by key."""
+        path = tmp_path / "c.json"
+        path.write_text('{"date": {"l2_weight": NaN}}')
+        with pytest.raises(ConfigError, match="^date.l2_weight: expected finite float"):
+            load_config(path)
+        path.write_text('{"guidance": {"w": -Infinity}}')
+        with pytest.raises(ConfigError, match="^guidance.w: expected finite float"):
+            load_config(path)
 
     def test_learned_model_requires_existing_checkpoint(self, tmp_path):
         with pytest.raises(ConfigError, match="model.checkpoint"):
@@ -595,3 +634,23 @@ class TestCli:
         path.write_text('{"sedd": 1}')
         assert cli_dispatch(["sample", "--config", str(path)]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_negative_ablation_radius_exit_1(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"guidance": {"kind": "ablation",
+                                                 "ablation_kind": "random", "rho": -1.0}}))
+        monkeypatch.setattr("embedlab.harness.cli.run_experiment", None)   # never reached
+        assert cli_dispatch(["sample", "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert "error: guidance.rho: must be finite and positive" in capsys.readouterr().err
+
+    def test_parser_built_once_and_commands_looked_up_at_dispatch(self, tmp_path,
+                                                                  monkeypatch):
+        """cli_dispatch reuses one parser; a patched cmd_* still runs."""
+        import embedlab.harness.cli as cli_mod
+        assert cli_mod.build_parser() is cli_mod.build_parser()
+        seen = []
+        monkeypatch.setattr(cli_mod, "cmd_verify", lambda args: seen.append(args) or 5)
+        assert cli_dispatch(["verify", "--seed", "3", "--out", str(tmp_path)]) == 5
+        assert cli_dispatch(["verify", "--check", "tweedie_exact_k1"]) == 5
+        assert [(a.seed, a.check, a.out) for a in seen] == [
+            (3, None, str(tmp_path)), (0, "tweedie_exact_k1", None)]

@@ -143,60 +143,109 @@ _SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-31
                       -2.2e-308, 1e308, -1e308, 1.5])
 
 
-def _move_to(a, axis):
-    """(n, rows) -> an array whose `axis` (0, -1 or -2) has the n entries."""
-    if axis == 0:
-        return a
-    if axis == -1:
-        return a.T
-    return np.stack([a.T, -a.T], axis=-1)          # (rows, n, 2)
+# How the mixture lays out a reduced axis.  Each layout maps an (n, rows)
+# base to the rows-first array numpy reduced before (C-ordered, as the old
+# code's fresh arrays were), its reduced axis there (0, -1 or -2), and the
+# components-first array that models._sum/_max reduce now, with its axis and
+# `inner` flag.
+def _layouts(base):
+    rows = base.shape[1]
+    two = np.stack([base.T, -base.T], axis=-1)          # (rows, n, 2)
+    return {
+        # log-sum-exp over K: (*rows, K) -> (K, *rows)
+        "last": (base.T, -1, base, 0, True),
+        # the log-density's sum over d: (*rows, K, d) -> (K, d, *rows)
+        "second": (two.transpose(0, 2, 1), -1, two.transpose(2, 1, 0), 1, True),
+        # the score's sum over K with d = 2: (*rows, K, d) -> (K, d, *rows)
+        "middle": (two, -2, two.transpose(1, 2, 0), 0, False),
+        # ... and with d = 1, where numpy reduced K innermost
+        "middle_d1": (base.T[..., None], -2, base[:, None], 0, True),
+        # over the P prompts: (P, *rows), innermost only for a single row
+        "first": (base, 0, base, 0, rows == 1),
+    }
 
 
-def _same_bits(got, want):
+def _same_bits(got, want, nan_sign=True):
+    """Equal values, signs of zero and NaN positions; nan_sign=False leaves
+    out the sign of a NaN, which numpy's contiguous (SIMD) and strided loops
+    take from different operands of inf - inf + nan."""
     got, want = np.asarray(got), np.asarray(want)
+    signs = np.signbit(got) == np.signbit(want)
     return (got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
-            and np.array_equal(np.signbit(got), np.signbit(want))
+            and np.all(signs | (np.isnan(got) & ~nan_sign))
             and np.array_equal(np.isnan(got), np.isnan(want)))
 
 
 class TestShortAxisReductions:
-    """models._sum/_max give np.sum/np.max bit for bit, on both the chained
-    path (many rows) and the reduce path (few rows, long axes, axis 0)."""
+    """models._sum/_max reduce a leading axis of the components-first layout
+    to the bits np.sum/np.max gave on the rows-first layout, whose reduced
+    axis `axis` names: chained below _CHAIN_MAX entries, numpy's pairwise sum
+    from it on where that layout had the axis innermost, on contiguous arrays
+    and strided views alike."""
 
     @staticmethod
-    def _check(a, axis):
+    def _check(base, old_axis):
         with np.errstate(all="ignore"):
-            for mine, ref in ((models_mod._sum, np.sum), (models_mod._max, np.max)):
-                got = mine(a, axis)
-                assert _same_bits(got, ref(a, axis=axis)), (mine.__name__, a.shape, axis)
-                if a.shape[axis] == 1:
-                    assert not np.shares_memory(got, a)
+            for name, (old, axis_there, new, axis, inner) in _layouts(base).items():
+                if axis_there != old_axis:
+                    continue
+                old = np.ascontiguousarray(old)
+                want = np.sum(old, axis=old_axis)
+                for view in _views(new):
+                    same = lambda got, want: _same_bits(
+                        np.moveaxis(got, 0, -1) if got.ndim == 2 else got, want,
+                        nan_sign=view.flags.c_contiguous)
+                    got = models_mod._sum(view, axis, inner)
+                    assert same(got, want), ("_sum", name, view.shape, view.strides)
+                    if not np.any(np.signbit(view) & (view == 0.0)):
+                        assert same(models_mod._sum(view, axis, inner, negzero=False), want), (
+                            "_sum negzero", name, view.shape, view.strides)
+                    if axis == 0 and view.ndim == 2:
+                        assert same(models_mod._max(view, inner), np.max(old, axis=old_axis)), (
+                            "_max", name, view.shape, view.strides)
+                    if view.shape[axis] == 1:
+                        assert not np.shares_memory(got, view)
+                        if view.ndim == 2:
+                            assert not np.shares_memory(models_mod._max(view, inner), view)
+
+    @staticmethod
+    def _bases(n, rows):
+        rng = np.random.default_rng(n * 100 + rows)
+        draws = rng.standard_normal((n, rows)) * 10.0 ** rng.integers(-300, 300, (n, rows))
+        return draws, rng.choice(_SPECIALS, (n, rows)), np.abs(draws)
 
     @pytest.mark.parametrize("axis", [0, -1, -2])
     @pytest.mark.parametrize("rows", [4, 300])
     @pytest.mark.parametrize("n", range(1, 10))
     def test_random_and_special_values(self, n, rows, axis):
-        rng = np.random.default_rng(n * 100 + rows)
-        draws = rng.standard_normal((n, rows)) * 10.0 ** rng.integers(-300, 300, (n, rows))
-        specials = rng.choice(_SPECIALS, (n, rows))
-        for base in (draws, specials):
-            a = np.ascontiguousarray(_move_to(base, axis))
-            if axis != 0:
-                chained = n < models_mod._CHAIN_MAX and rows >= models_mod._CHAIN_MIN_ROWS
-                assert models_mod._chained(a, axis) == chained
-            self._check(a, axis)
-            # strided views: every other row, and the reduced axis every other entry
-            wide = np.ascontiguousarray(_move_to(np.repeat(base, 2, axis=1), axis))
-            self._check(wide[::2] if axis != 0 else wide[:, ::2], axis)
-            spread = np.ascontiguousarray(_move_to(np.repeat(base, 2, axis=0), axis))
-            self._check(spread[(slice(None),) * (axis % spread.ndim) + (slice(None, None, 2),)],
-                        axis)
+        for base in self._bases(n, rows):
+            self._check(base, axis)
+
+    @pytest.mark.parametrize("axis", [0, -1, -2])
+    @pytest.mark.parametrize("rows", [1, 4, 300])
+    @pytest.mark.parametrize("n", [16, 17, 130])
+    def test_long_axes_and_single_rows(self, n, rows, axis):
+        """Pairwise sums (up to numpy's 128-entry blocks and past them), and
+        one row, where numpy reduced even the prompt axis innermost."""
+        for base in self._bases(n, rows):
+            self._check(base, axis)
+        if n == 16:
+            for base in self._bases(n - 7, 1):
+                self._check(base, axis)
 
     @pytest.mark.parametrize("axis", [0, -1, -2])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_every_combination_of_special_values(self, n, axis):
         combos = np.array(np.meshgrid(*[_SPECIALS] * n, indexing="ij")).reshape(n, -1)
-        self._check(np.ascontiguousarray(_move_to(combos, axis)), axis)
+        self._check(combos, axis)
+
+
+def _views(a):
+    """a, a C-ordered copy, and strided views holding the same values: every
+    other entry of each axis, and the axes' order reversed in memory."""
+    wide = np.repeat(np.repeat(a, 2, axis=0), 2, axis=-1)
+    spread = wide[::2][..., ::2]
+    return [a, np.ascontiguousarray(a), spread, np.asfortranarray(a)]
 
 
 def test_perturbed_marginal_consistency(task, sched):
@@ -454,6 +503,131 @@ def _oracle_classifier_log_prob(conditionals, priors, x, t, sched):
     lp = np.array([_oracle_log_likelihood(m, x, c, t, sched) + np.log(priors[i])
                    for i, (m, c) in enumerate(conditionals)])
     return lp - _oracle_logsumexp(lp, axis=0)
+
+
+def _oracle_posterior_mean_x0(m, x, c, t, sched):
+    ab = sched.alpha_bar(t)
+    comp, means, variances = _oracle_log_joint(m, x, c, t, sched)
+    r = np.exp(comp - _oracle_logsumexp(comp)[..., None])
+    clean = np.einsum("kde,...e->...kd", m.mean_maps, c) + m.mean_offsets
+    cond = clean + np.sqrt(ab) * m.covs / variances * (np.asarray(x)[..., None, :] - means)
+    return np.sum(r[..., None] * cond, axis=-2)
+
+
+def _oracle_grad_c_log_likelihood(m, x, c, t, sched):
+    ab = sched.alpha_bar(t)
+    comp, means, variances = _oracle_log_joint(m, x, c, t, sched)
+    r = np.exp(comp - _oracle_logsumexp(comp)[..., None])
+    logits = np.einsum("ke,...e->...k", m.weight_logits, c)
+    mean_logit = np.exp(logits - _oracle_logsumexp(logits)[..., None]) @ m.weight_logits
+    pulls = (np.sqrt(ab) * m.mean_maps.transpose(0, 2, 1)
+             @ ((np.asarray(x) - means) / variances)[..., None])
+    return np.sum(r[:, None] * (m.weight_logits - mean_logit + pulls[..., 0]), axis=0)
+
+
+def _oracle_weights(m, c):
+    logits = np.einsum("ke,...e->...k", m.weight_logits, c)
+    e = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+_ORACLES = {"score": _oracle_score, "log_likelihood": _oracle_log_likelihood,
+            "posterior_mean_x0": _oracle_posterior_mean_x0}
+
+
+@pytest.mark.parametrize("e", [1, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 9])
+@pytest.mark.parametrize("K", [1, 2, 3, 8, 9])
+def test_components_first_math_keeps_the_rows_first_bits(K, d, e):
+    """Every batched mixture method, weights included, gives the bits of the
+    plain (..., K, d) formulas with np.sum and np.max, sign of zero included:
+    from 8 entries on numpy summed an innermost axis pairwise, and a tied
+    model (every component at one mean, x on it) makes the score's terms
+    -0.0."""
+    sched = default_schedule()
+    rng = np.random.default_rng(K * 100 + d * 10 + e)
+    model = random_mixture(rng, K, d, e)
+    tied = MixtureModel(mean_maps=np.zeros((K, d, e)),
+                        mean_offsets=np.repeat(model.mean_offsets[:1], K, axis=0),
+                        covs=model.covs, weight_logits=model.weight_logits)
+    shapes = [((d,), (e,)), ((5, d), (5, e)), ((5, d), (e,)), ((d,), (3, e)),
+              ((4, 6, d), (4, 1, e)), ((1, d), (1, e)), ((2, 1, d), (3, e))]
+    with np.errstate(under="ignore"):
+        for m in (model, tied):
+            for t in (1, 37, 100):
+                centre = np.sqrt(sched.alpha_bar(t)) * m.mean_offsets[0]
+                for xs, cs in shapes:
+                    x = rng.standard_normal(xs) * rng.choice([0.1, 1.0, 30.0])
+                    if m is tied:
+                        x = np.where(rng.random(xs) < 0.5, centre, x)
+                    c = rng.standard_normal(cs) * 2.0
+                    for name, oracle in _ORACLES.items():
+                        got = getattr(m, name)(x, c, t, sched)
+                        assert _same_bits(got, oracle(m, x, c, t, sched)), (name, xs, cs)
+                    assert _same_bits(m.weights(c), _oracle_weights(m, c)), ("weights", cs)
+                    if len(xs) == len(cs) == 1:
+                        got = m.grad_c_log_likelihood(x, c, t, sched)
+                        assert _same_bits(got, _oracle_grad_c_log_likelihood(m, x, c, t, sched))
+                for P in (1, 2, 9):
+                    conds = [(m, c) for c in rng.standard_normal((P, e)) * 2.0]
+                    for xs in ((d,), (1, d), (5, d)):
+                        x = rng.standard_normal(xs)
+                        if m is tied:
+                            x = np.where(rng.random(xs) < 0.5, centre, x)
+                        got = unconditional_score(conds, np.full(P, 1.0 / P), x, t, sched)
+                        want = _oracle_unconditional_score(conds, np.full(P, 1.0 / P), x, t,
+                                                           sched)
+                        assert _same_bits(got, want), ("unconditional_score", P, xs)
+
+
+_BATCH_MODELS = {"desk": default_task().model, "tiny": tiny_task().model,
+                 "K3d3": random_mixture(np.random.default_rng(5), 3, 3, 4),
+                 "K9d8": random_mixture(np.random.default_rng(6), 9, 8, 2)}
+
+
+@pytest.mark.parametrize("name", sorted(_BATCH_MODELS))
+def test_batch_rows_keep_their_solo_bits(name):
+    """A batch gives each row its solo bits: the rollout shape, prompt-stacked
+    embeddings, one x against many embeddings, and strided views."""
+    m = _BATCH_MODELS[name]
+    d, e = m.data_dim, m.embed_dim
+    sched = default_schedule()
+    rng = np.random.default_rng(len(name))
+    t = 23
+    methods = ("score", "log_likelihood", "posterior_mean_x0")
+
+    def check(x, c, solo):
+        for method in methods:
+            got = getattr(m, method)(x, c, t, sched)
+            for idx, (xi, ci) in solo.items():
+                assert _same_bits(got[idx], getattr(m, method)(xi, ci, t, sched)), (
+                    method, x.shape, x.strides, c.shape, c.strides, idx)
+
+    # rollouts: x (S, R, d) against c (S, 1, e), x a strided view
+    S, R = 3, 5
+    x = rng.standard_normal((S, 2 * R, d + 1))[:, ::2, 1:]
+    c = rng.standard_normal((S, 1, e))
+    check(x, c, {(s, r): (x[s, r].copy(), c[s, 0].copy()) for s in range(S) for r in range(R)})
+    # prompt-stacked embeddings (P, 1, e) against x (n, d)
+    P, n = 4, 6
+    x = rng.standard_normal((n, d))
+    c = rng.standard_normal((P, 1, e))
+    check(x, c, {(p, i): (x[i], c[p, 0]) for p in range(P) for i in range(n)})
+    # one x against a batch of embeddings, the embeddings in reversed memory order
+    x = rng.standard_normal(d)
+    c = rng.standard_normal((n, e))[::-1]
+    check(x, c, {(i,): (x, c[i].copy()) for i in range(n)})
+    # Fortran-ordered x and c row by row
+    x = np.asfortranarray(rng.standard_normal((n, d)))
+    c = np.asfortranarray(rng.standard_normal((n, e)))
+    check(x, c, {(i,): (x[i].copy(), c[i].copy()) for i in range(n)})
+    # the prompt-weighted score of a strided batch, row by row
+    conds = [(m, ci) for ci in rng.standard_normal((P, e))]
+    priors = np.full(P, 1.0 / P)
+    x = rng.standard_normal((2 * n, d))[::2]
+    got = unconditional_score(conds, priors, x, t, sched)
+    for i in range(n):
+        assert _same_bits(got[i], unconditional_score(conds, priors, x[i].copy(), t, sched))
 
 
 _TASKS = {"desk": default_task(), "tiny": tiny_task()}
