@@ -133,7 +133,6 @@ class MixtureModel:
     # mean_maps with weight_logits as entry d, (K, d + 1, e): one einsum
     # gives M_k c and a_k . c, each with the bits of its own einsum
     _maps: np.ndarray = field(init=False, repr=False, compare=False)
-    _variances: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("mean_maps", "mean_offsets", "covs", "weight_logits"):
@@ -179,19 +178,8 @@ class MixtureModel:
         """Means and diagonal variances of the step-t perturbed mixture."""
         ab = sched.alpha_bar(t)
         means = np.sqrt(ab) * self.component_means(c)
-        return means, self._perturbed_variances(ab, 0)[0]
-
-    def _perturbed_variances(self, ab, nrows):
-        """ab S_k + 1 - ab and log(2 pi var), read-only, shaped (K, d, 1, ...)
-        with nrows trailing 1s; kept per (ab, nrows), a few per timestep."""
-        key = (ab, nrows)
-        got = self._variances.get(key)
-        if got is None:
-            var = (ab * self.covs + (1.0 - ab)).reshape(self.covs.shape + (1,) * nrows)
-            got = self._variances[key] = (var, np.log(2.0 * np.pi * var))
-            for a in got:
-                a.flags.writeable = False
-        return got
+        variances = ab * self.covs + (1.0 - ab)
+        return means, variances
 
     def _log_joint(self, x, c, t, sched):
         """log w_k(c) + log N_t(x; mu_k, var_k), shape (K, *rows), with x - mu_k,
@@ -202,19 +190,20 @@ class MixtureModel:
         # einsum sums a strided embedding axis in another order
         c = np.ascontiguousarray(c, dtype=np.float64)
         nrows = max(x.ndim, c.ndim) - 1
+        lift = self.covs.shape + (1,) * nrows
         ab = sched.alpha_bar(t)
-        maps = np.einsum("kde,...e->...kd", self._maps, c)
-        means = maps[..., :-1] + self.mean_offsets
-        means *= np.sqrt(ab)
-        variances, log_norm = self._perturbed_variances(ab, nrows)
-        diff = np.subtract(_front(x, 1, nrows), _front(means, 2, nrows), order="C")
+        maps = _front(np.einsum("kde,...e->...kd", self._maps, c), 2, nrows)
+        means = maps[:, :-1] + self.mean_offsets.reshape(lift)
+        means *= math.sqrt(ab)
+        variances = (ab * self.covs + (1.0 - ab)).reshape(lift)
+        diff = np.subtract(_front(x, 1, nrows), means, order="C")
         q = diff * diff
         q /= variances
-        q += log_norm
+        q += np.log(2.0 * np.pi * variances)
         # diff^2 / var >= +0, so no term is -0.0
         comp = _sum(q, 1, negzero=False)
         comp *= -0.5
-        logits = _front(maps[..., -1], 1, nrows)
+        logits = maps[:, -1]
         comp += logits - _logsumexp(logits)
         return comp, diff, variances
 
