@@ -49,21 +49,26 @@ class TrainingDiverged(RuntimeError):
 # From _CHAIN_MAX entries on it summed the axis pairwise where it was the
 # innermost loop, that is where only size-1 axes followed it (the caller
 # says so with `inner`), and such an axis is copied last and handed to
-# numpy's reduce; elsewhere numpy still added one entry after another.
+# numpy's reduce; elsewhere numpy still added one entry after another.  The
+# sum chains over a C-ordered copy of a strided input: numpy's strided loops
+# take a NaN's sign from other operands than its contiguous ones, and numpy
+# reduced C-ordered arrays.
 _CHAIN_MAX = 8
 
 
-def _sum(a, axis=0, inner=True, negzero=True):
+def _sum(a, axis=0, inner=True, exps=False):
     """np.sum over a leading axis to the last bit, as a fresh array.  `inner`
-    says whether the rows-first layout had the axis innermost.  negzero=False
-    promises that no term is -0.0, so the chain need not start from +0.0."""
+    says whether the rows-first layout had the axis innermost.  exps=True
+    says the terms are exponentials, never -0.0, so the chain can skip
+    numpy's +0.0 start."""
     n = a.shape[axis]
     if n >= _CHAIN_MAX and inner:
         return np.add.reduce(np.moveaxis(a, axis, -1).copy(), -1)
+    a = np.ascontiguousarray(a)
     if axis:
         a = a.swapaxes(0, axis)
     # numpy's sum starts from +0.0, so -0.0 terms alone sum to +0.0
-    pair = n > 1 and not negzero
+    pair = n > 1 and exps
     out = a[0] + (a[1] if pair else 0.0)
     for i in range(1 + pair, n):
         out += a[i]
@@ -86,7 +91,7 @@ def _logsumexp(a, inner=True):
     """log sum exp over axis 0."""
     m = _max(a, inner)
     e = a - m
-    return m + np.log(_sum(np.exp(e, out=e), 0, inner, negzero=False))
+    return m + np.log(_sum(np.exp(e, out=e), 0, inner, exps=True))
 
 
 def _responsibilities(comp):
@@ -94,12 +99,12 @@ def _responsibilities(comp):
     return np.exp(r, out=r)
 
 
-def _front(a, n, nrows):
-    """View of a, shaped (*r, *c) with n trailing axes c, as (*c, *r), r
-    padded in front with 1s to nrows axes."""
-    if a.ndim < nrows + n:
-        a = a.reshape((1,) * (nrows + n - a.ndim) + a.shape)
-    return a.transpose((*range(nrows, nrows + n), *range(nrows)))
+def _front(x, nrows):
+    """View of x, shaped (*r, d), as (d, *r), r padded in front with 1s to
+    nrows axes."""
+    if x.ndim <= nrows:
+        x = x.reshape((1,) * (nrows + 1 - x.ndim) + x.shape)
+    return x.transpose((nrows, *range(nrows)))
 
 
 def _back(a):
@@ -130,8 +135,9 @@ class MixtureModel:
     mean_offsets: np.ndarray   # (K, d)
     covs: np.ndarray           # (K, d) diagonal entries
     weight_logits: np.ndarray  # (K, e)
-    # mean_maps with weight_logits as entry d, (K, d + 1, e): one einsum
-    # gives M_k c and a_k . c, each with the bits of its own einsum
+    # mean_maps' K d rows, then weight_logits' K rows, (K d + K, e): one
+    # einsum gives M_k c and a_k . c rows last, with the bits of the two
+    # rows-first einsums it replaces
     _maps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -147,7 +153,7 @@ class MixtureModel:
         if np.any(self.covs <= 0.0):
             raise ModelError("component covariances must be positive")
         object.__setattr__(self, "_maps", np.concatenate(
-            [self.mean_maps, self.weight_logits[:, None]], axis=1))
+            [self.mean_maps.reshape(K * d, e), self.weight_logits]))
 
     @property
     def n_components(self):
@@ -164,48 +170,54 @@ class MixtureModel:
     # -- exact quantities ---------------------------------------------------
 
     def weights(self, c):
-        c = np.asarray(c, dtype=np.float64)
-        logits = _front(np.einsum("ke,...e->...k", self.weight_logits, c), 1, c.ndim - 1)
+        c = np.ascontiguousarray(c, dtype=np.float64)
+        logits = np.einsum("ke,...e->k...", self.weight_logits, c, order="C")
         e = np.exp(logits - _max(logits))
-        return _back(e / _sum(e, negzero=False))
+        return _back(e / _sum(e))
 
     def component_means(self, c):
         """Clean-data component means M_k c + b_k, shape (..., K, d)."""
         c = np.ascontiguousarray(c, dtype=np.float64)
         return np.einsum("kde,...e->...kd", self.mean_maps, c) + self.mean_offsets
 
+    def _perturbed(self, clean, ab, shape):
+        """Step-ab means from the clean means M_k c + b_k, and the diagonal
+        variances shaped `shape`."""
+        return math.sqrt(ab) * clean, (ab * self.covs + (1.0 - ab)).reshape(shape)
+
     def perturbed_params(self, c, t, sched):
         """Means and diagonal variances of the step-t perturbed mixture."""
-        ab = sched.alpha_bar(t)
-        means = np.sqrt(ab) * self.component_means(c)
-        variances = ab * self.covs + (1.0 - ab)
-        return means, variances
+        return self._perturbed(self.component_means(c), sched.alpha_bar(t), self.covs.shape)
 
     def _log_joint(self, x, c, t, sched):
         """log w_k(c) + log N_t(x; mu_k, var_k), shape (K, *rows), with x - mu_k,
-        shape (K, d, *rows), and the variances, shape (K, d, 1, ...).  rows
-        broadcasts the leading axes of x and c, so embeddings stacked on a new
-        axis take one pass."""
+        shape (K, d, *rows), the variances, shape (K, d, 1, ...), and from c
+        alone the clean means M_k c + b_k, shape (K, d, ...), and log w_k(c),
+        shape (K, ...).  rows broadcasts the leading axes of x and c, so
+        embeddings stacked on a new axis take one pass."""
         x = np.asarray(x, dtype=np.float64)
         # einsum sums a strided embedding axis in another order
         c = np.ascontiguousarray(c, dtype=np.float64)
         nrows = max(x.ndim, c.ndim) - 1
         lift = self.covs.shape + (1,) * nrows
-        ab = sched.alpha_bar(t)
-        maps = _front(np.einsum("kde,...e->...kd", self._maps, c), 2, nrows)
-        means = maps[:, :-1] + self.mean_offsets.reshape(lift)
-        means *= math.sqrt(ab)
-        variances = (ab * self.covs + (1.0 - ab)).reshape(lift)
-        diff = np.subtract(_front(x, 1, nrows), means, order="C")
-        q = diff * diff
-        q /= variances
-        q += np.log(2.0 * np.pi * variances)
-        # diff^2 / var >= +0, so no term is -0.0
-        comp = _sum(q, 1, negzero=False)
+        maps = np.einsum("je,...e->j...", self._maps, c, order="C")
+        rows = (1,) * (nrows + 1 - c.ndim) + maps.shape[1:]
+        kd = self.mean_offsets.size
+        clean = maps[:kd].reshape(self.covs.shape + rows) + self.mean_offsets.reshape(lift)
+        means, variances = self._perturbed(clean, sched.alpha_bar(t), lift)
+        diff = np.subtract(_front(x, nrows), means, order="C")
+        # the density's terms d first, (d, K, *rows), so the sum over d
+        # chains over contiguous slices
+        dk, var_dk = diff.swapaxes(0, 1), variances.swapaxes(0, 1)
+        q = np.multiply(dk, dk, order="C")
+        q /= var_dk
+        q += np.log(2.0 * np.pi * var_dk)
+        comp = _sum(q)
         comp *= -0.5
-        logits = maps[:, -1]
-        comp += logits - _logsumexp(logits)
-        return comp, diff, variances
+        logits = maps[kd:].reshape(self.covs.shape[:1] + rows)
+        logw = logits - _logsumexp(logits)
+        comp += logw
+        return comp, diff, variances, clean, logw
 
     def log_likelihood(self, x, c, t, sched):
         """Exact log p_t(x | c); batched over leading axes of x (and c)."""
@@ -213,26 +225,24 @@ class MixtureModel:
 
     def score(self, x, c, t, sched):
         """Exact conditional score grad_x log p_t(x | c)."""
-        return _back(_score_from(*self._log_joint(x, c, t, sched)))
+        return _back(_score_from(*self._log_joint(x, c, t, sched)[:3]))
 
     def grad_c_log_likelihood(self, x, c, t, sched):
         """Exact grad_c log p_t(x | c) for a single (x, c) pair."""
-        ab = sched.alpha_bar(t)
-        c = np.ascontiguousarray(c, dtype=np.float64)
-        comp, diff, variances = self._log_joint(x, c, t, sched)
-        logits = np.einsum("ke,...e->...k", self.weight_logits, c)
-        mean_logit = np.exp(logits - _logsumexp(logits)) @ self.weight_logits
-        pulls = np.sqrt(ab) * self.mean_maps.transpose(0, 2, 1) @ (diff / variances)[..., None]
+        comp, diff, variances, _, logw = self._log_joint(x, c, t, sched)
+        mean_logit = np.exp(logw) @ self.weight_logits
+        pulls = (np.sqrt(sched.alpha_bar(t)) * self.mean_maps.transpose(0, 2, 1)
+                 @ (diff / variances)[..., None])
         return _sum(_responsibilities(comp)[:, None]
                     * (self.weight_logits - mean_logit + pulls[..., 0]), 0, self.embed_dim == 1)
 
     def posterior_mean_x0(self, x_t, c, t, sched):
         """Responsibility-weighted posterior mean E[x0 | x_t, c], exact."""
         ab = sched.alpha_bar(t)
-        comp, diff, variances = self._log_joint(x_t, c, t, sched)
+        comp, diff, variances, clean, _ = self._log_joint(x_t, c, t, sched)
         # M_k c + b_k + sqrt(ab) S_k / var_k (x - mu_k), in place of diff
         diff *= np.sqrt(ab) * self.covs.reshape(variances.shape) / variances
-        diff += _front(self.component_means(c), 2, comp.ndim - 1)
+        diff += clean
         diff *= _responsibilities(comp)[:, None]
         return _back(_sum(diff, 0, self.data_dim == 1))
 
@@ -459,7 +469,7 @@ def unconditional_score(conditionals, priors, x, t, sched):
     """
     model, cs, priors = prompt_stack(conditionals, priors)
     lift = (len(cs),) + (1,) * (np.ndim(x) - 1)
-    comp, diff, variances = model._log_joint(x, cs.reshape(lift + cs.shape[-1:]), t, sched)
+    comp, diff, variances, _, _ = model._log_joint(x, cs.reshape(lift + cs.shape[-1:]), t, sched)
     lp = _logsumexp(comp) + np.log(priors).reshape(lift)
     # numpy reduced P innermost in the rows-first (P, *rows, d) layout only
     # for a single x (and for the score only at d = 1)
