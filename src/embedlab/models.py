@@ -388,8 +388,10 @@ def train_dsm(net, model, sched, steps, batch, lr, seed, embeddings=None):
     """
     steps = int(steps)
     batch = int(batch)
-    if steps < 0 or (steps > 0 and (batch < 1 or lr <= 0.0)):
-        raise ModelError("need steps >= 0, batch >= 1, lr > 0")
+    if steps < 0 or (steps > 0 and batch < 1):
+        raise ModelError("need steps >= 0, batch >= 1")
+    if steps > 0 and not 0.0 < lr < math.inf:
+        raise ModelError(f"lr must be finite and > 0, got {lr!r}")
     rng = np.random.default_rng(seed)
     losses = np.zeros(steps)
     n_layers = len(net.params) // 2

@@ -604,6 +604,17 @@ class TestCli:
         net = load_checkpoint(ckpt)
         assert net.data_dim == 2
 
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_train_nonfinite_lr_exit_1(self, tmp_path, capsys, lr):
+        """A non-finite --lr is refused by name before any training step,
+        and no checkpoint is written."""
+        out = tmp_path / "t"
+        code = cli_dispatch(["train", "--steps", "5", "--batch", "4", "--lr", lr,
+                             "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: lr must be finite and > 0, got {lr}\n"
+        assert not (out / "checkpoint.json").exists()
+
     @pytest.mark.filterwarnings("error")
     def test_train_zero_steps_prints_no_loss(self, tmp_path, capsys):
         code = cli_dispatch(["train", "--steps", "0", "--out", str(tmp_path / "t")])
