@@ -327,27 +327,43 @@ class ScoreNet:
         return np.concatenate([np.sin(ang), np.cos(ang)])
 
     def _forward_cached(self, inp, rowwise=False):
-        """Forward pass keeping every layer's input and pre-activation.
+        """Forward pass; returns the output and what _backprop reads: every
+        layer's input, and each hidden layer's pre-activation and sigmoid.
 
         rowwise=True multiplies each row on its own (a stack of 1-row
         products), which gives a row the same bits alone or in any batch;
         the default is one gemm over the batch, as training uses.
         """
-        acts = [inp]
-        pre = []
+        acts, pre, sigs = [inp], [], []
         h = inp
         n_layers = len(self.params) // 2
         for i in range(n_layers):
             W, b = self.params[2 * i].value, self.params[2 * i + 1].value
-            z = (np.matmul(h[..., None, :], W.T)[..., 0, :] if rowwise else h @ W.T) + b
-            pre.append(z)
+            h = (np.matmul(h[..., None, :], W.T)[..., 0, :] if rowwise else h @ W.T) + b
             if i < n_layers - 1:
-                sig = 1.0 / (1.0 + np.exp(-z))
-                h = z * sig
+                sig = 1.0 / (1.0 + np.exp(-h))
+                pre.append(h)
+                sigs.append(sig)
+                h = h * sig
                 acts.append(h)
-            else:
-                h = z
-        return h, acts, pre
+        return h, (acts, pre, sigs)
+
+    def _backprop(self, grad, cache, rowwise=False):
+        """Reverse sweep from the output adjoint `grad`, in the layout of the
+        _forward_cached call that gave `cache`.  Returns the adjoint of the
+        input rows and, in the gemm layout, the gradient of every weight and
+        bias summed over the rows, in params order (none when rowwise)."""
+        acts, pre, sigs = cache
+        grads = []
+        for i in range(len(self.params) // 2 - 1, -1, -1):
+            W = self.params[2 * i].value
+            if not rowwise:
+                grads[:0] = (grad.T @ acts[i], grad.sum(axis=0))
+            grad = np.matmul(grad[..., None, :], W)[..., 0, :] if rowwise else grad @ W
+            if i > 0:
+                sig = sigs[i - 1]
+                grad = grad * sig * (1.0 + pre[i - 1] * (1.0 - sig))
+        return grad, grads
 
     def score(self, x, c, t, sched):
         """Network forward pass; batched over leading axes of x (and c),
@@ -359,7 +375,7 @@ class ScoreNet:
         inp = np.concatenate([np.broadcast_to(x, lead + (self.data_dim,)),
                               np.broadcast_to(c, lead + (self.embed_dim,)),
                               np.broadcast_to(feats, lead + (self.time_feats,))], axis=-1)
-        out, _, _ = self._forward_cached(inp, rowwise=True)
+        out, _ = self._forward_cached(inp, rowwise=True)
         return out
 
     def emit_score(self, g, x_ref, c_ref, t, sched):
@@ -394,7 +410,6 @@ def train_dsm(net, model, sched, steps, batch, lr, seed, embeddings=None):
         raise ModelError(f"lr must be finite and > 0, got {lr!r}")
     rng = np.random.default_rng(seed)
     losses = np.zeros(steps)
-    n_layers = len(net.params) // 2
     # one row per timestep, each from the same call a single row would make,
     # so a batch's features are bit-equal to per-row calls
     feat_table = np.stack([net.time_features(t, sched.T) for t in range(1, sched.T + 1)])
@@ -418,7 +433,7 @@ def train_dsm(net, model, sched, steps, batch, lr, seed, embeddings=None):
         target = -eps / np.sqrt(1.0 - ab)
 
         inp = np.concatenate([xt, cs, feat_table[ts - 1]], axis=1)
-        out, acts, pre = net._forward_cached(inp)
+        out, cache = net._forward_cached(inp)
 
         resid = out - target
         loss = float(np.mean(np.sum(resid * resid, axis=1)))
@@ -426,23 +441,9 @@ def train_dsm(net, model, sched, steps, batch, lr, seed, embeddings=None):
             raise TrainingDiverged(step)
         losses[step] = loss
 
-        # hand-rolled backprop through the MLP (checked against the tape
-        # engine in the test suite)
-        grad = 2.0 * resid / batch
-        for i in range(n_layers - 1, -1, -1):
-            W = net.params[2 * i]
-            b = net.params[2 * i + 1]
-            a_in = acts[i]
-            W.grad = grad.T @ a_in
-            b.grad = grad.sum(axis=0)
-            if i > 0:
-                upstream = grad @ W.value
-                z = pre[i - 1]
-                sig = 1.0 / (1.0 + np.exp(-z))
-                grad = upstream * sig * (1.0 + z * (1.0 - sig))
-        for p in net.params:
-            p.value = p.value - lr * p.grad
-        net.zero_grad()
+        _, grads = net._backprop(2.0 * resid / batch, cache)
+        for p, grad in zip(net.params, grads):
+            p.value = p.value - lr * grad
     return losses
 
 

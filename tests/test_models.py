@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embedlab import models as models_mod
-from embedlab.autodiff import Graph, evaluate, gradient, param_gradients
+from embedlab.autodiff import Graph, evaluate, finite_diff_grad, gradient, param_gradients
 from embedlab.graphs import classifier_graph
 from embedlab.models import (
     MixtureModel,
@@ -320,6 +320,46 @@ class TestTrainDsm:
         train_dsm(ScoreNet(2, 4, seed=3), task.model, sched, steps=2, batch=16, lr=1e-3, seed=0)
         assert 0 < len(calls) <= sched.T
 
+    def test_backprop_matches_central_differences(self):
+        """ScoreNet._backprop on a tiny net against central differences: the
+        weight and bias gradients of the DSM loss in the gemm layout, and
+        each input row's adjoint in the per-row layout.  Each gradient must
+        be within 1e-7 of the quotient's, relative to the quotient's norm;
+        with a step of 1e-6 the quotient's own error here is 1e-8 at most."""
+        net = ScoreNet(2, 3, hidden=5, depth=2, time_feats=2, seed=6)
+        rng = np.random.default_rng(8)
+        batch = 3
+        inp = rng.standard_normal((batch, 7))
+        target = rng.standard_normal((batch, 2))
+
+        def close(got, fd):
+            assert np.linalg.norm(got - fd) <= 1e-7 * np.linalg.norm(fd)
+
+        def dsm_loss():
+            r = net._forward_cached(inp)[0] - target
+            return float(np.mean(np.sum(r * r, axis=1)))
+
+        out, cache = net._forward_cached(inp)
+        _, grads = net._backprop(2.0 * (out - target) / batch, cache)
+        assert len(grads) == len(net.params)
+        for p, grad in zip(net.params, grads):
+            value = p.value
+
+            def at(flat):
+                p.value = flat.reshape(value.shape)
+                return dsm_loss()
+            fd = finite_diff_grad(at, value.ravel()).reshape(value.shape)
+            p.value = value
+            close(grad, fd)
+
+        v = rng.standard_normal((batch, 2))
+        gin, none = net._backprop(v, net._forward_cached(inp, rowwise=True)[1], rowwise=True)
+        assert none == [] and gin.shape == inp.shape
+        for i in range(batch):
+            fd = finite_diff_grad(lambda z: float(v[i] @ net._forward_cached(z, rowwise=True)[0]),
+                                  inp[i])
+            close(gin[i], fd)
+
     def test_backprop_matches_tape_engine(self, task, sched):
         """The hand-rolled training backprop against tape param gradients
         on one tiny batch."""
@@ -357,7 +397,7 @@ class TestTrainDsm:
         # training route
         feats = np.stack([net.time_features(t, sched.T) for t in ts])
         inp = np.concatenate([xt, cs, feats], axis=1)
-        out, acts, pre = net._forward_cached(inp)
+        out, (acts, pre, _) = net._forward_cached(inp)
         grad = 2.0 * (out - target) / batch
         n_layers = len(net.params) // 2
         hand = [None] * len(net.params)
