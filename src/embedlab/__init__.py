@@ -17,7 +17,7 @@ from .schedules import (
     step_ddpm,
     tweedie_mean,
 )
-from .autodiff import Graph, GraphError, Param, evaluate, gradient
+from .autodiff import Graph, GraphError, evaluate, gradient
 from .models import (
     DeskTask,
     MixtureModel,

@@ -3,14 +3,15 @@
 A :class:`Graph` is built once from a fixed set of primitives, then evaluated
 against named inputs.  Forward values are cached on the tape, and a single
 reverse sweep yields exact gradients of a scalar output with respect to any
-named input (and, for affine nodes backed by :class:`Param`, with respect to
-trainable weights).
+named input.
 
-The primitive set is deliberately small: affine map, sigmoid and SiLU,
-softmax, log-sum-exp, dot product, cosine similarity, diagonal Gaussian
-log-density and a weighted sum over a stacked axis, plus the arithmetic,
-selection and joining operations needed to compose them.  Everything the
-lab differentiates is expressed in these terms.
+The primitive set is deliberately small: affine map, softmax, log-sum-exp,
+dot product, cosine similarity, diagonal Gaussian log-density and a
+weighted sum over a stacked axis, plus the arithmetic and selection
+operations needed to compose them.  One more node kind, ``fused``, takes
+its value and its arguments' adjoints from a function: a model whose own
+numpy forward pass and backprop are the reference (the score network)
+enters the tape as one such node.
 
 Rows and stacked axes.  Every node has a row rank fixed when it is built:
 the number of axes of its row.  A scalar has rank 0 and a vector rank 1; a
@@ -21,8 +22,9 @@ in front of its row, and then every node carries the same axes and treats
 each batch row on its own:
 
 * ``affine``, the reductions (``dot``, ``cosine``, ``softmax``,
-  ``logsumexp``, ``gauss_logpdf``), ``pick`` and ``concat`` act on the last
-  axis;
+  ``logsumexp``, ``gauss_logpdf``) and ``pick`` act on the last axis;
+* ``fused`` takes vector rows and gives vector rows; its function sees the
+  arguments' values as they are and broadcasts them itself;
 * ``add``, ``sub``, ``dot`` and ``gauss_logpdf`` take operands of
   equal rank, or broadcast the lower-rank operand, a vector or more but
   never a scalar, over the other's leading stacked axes: the new axes go
@@ -55,15 +57,13 @@ its weights their adjoint plus 0.0 when there are two or more: the sum of
 one-hot adjoints from one ``pick`` node per weight, whose zeros turn a -0.0
 into +0.0.
 
-Constant folding: a node whose arguments are all constants, and whose
-payload holds no :class:`Param`, is evaluated once when it is appended and
-stored as a constant at the same node index.  The forward pass then reads
-its value instead of recomputing it, and the reverse sweep sends it no
-adjoint.  Its value is the one the forward pass would have computed, so
-folding changes no bits.  An affine map with a Param weight or bias is
-never folded, so that :func:`param_gradients` still reaches the Param; a
-folded value that is not finite is still rejected by :func:`evaluate`,
-which names the node's index and its original primitive.
+Constant folding: a node whose arguments are all constants is evaluated
+once when it is appended and stored as a constant at the same node index.
+The forward pass then reads its value instead of recomputing it, and the
+reverse sweep sends it no adjoint.  Its value is the one the forward pass
+would have computed, so folding changes no bits.  A folded value that is
+not finite is still rejected by :func:`evaluate`, which names the node's
+index and its original primitive.
 """
 
 from __future__ import annotations
@@ -73,19 +73,6 @@ import numpy as np
 
 class GraphError(ValueError):
     """Raised for malformed graphs, bad bindings, or non-finite values."""
-
-
-class Param:
-    """A trainable array with an accumulated gradient."""
-
-    __slots__ = ("value", "grad")
-
-    def __init__(self, value):
-        self.value = np.asarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
-
-    def zero_grad(self):
-        self.grad = np.zeros_like(self.value)
 
 
 class _Node:
@@ -105,13 +92,6 @@ def _as_array(v):
     return np.asarray(v, dtype=np.float64)
 
 
-def _sigmoid(x):
-    # exp of -|x| never overflows; each branch gives the bits of the usual
-    # 1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
 def _col(s):
     """A per-row scalar as a column that broadcasts against rows."""
     return s[..., None]
@@ -120,10 +100,6 @@ def _col(s):
 def _norm(a):
     # the bits of np.linalg.norm on one row, which is sqrt(dot(a, a))
     return np.sqrt(np.vecdot(a, a))
-
-
-def _pval(p):
-    return p.value if isinstance(p, Param) else p
 
 
 def _lift(v, m, tail):
@@ -185,8 +161,14 @@ def _cosine(op, ranks, payload):
 
 def _affine_rank(op, ranks, payload):
     _no_scalars(op, ranks)
-    stack = np.ndim(_pval(payload["W"])) - 2
+    stack = np.ndim(payload["W"]) - 2
     return ranks[0] + stack, ((stack, 1),) if stack else None
+
+
+def _vectors(op, ranks, payload):
+    if any(r != 1 for r in ranks):
+        raise GraphError(f"{op}: arguments must be vector nodes, not row ranks {ranks}")
+    return 1, None
 
 
 def _wsum_rank(op, ranks, payload):
@@ -200,11 +182,10 @@ def _wsum_rank(op, ranks, payload):
 
 _RANKS = {
     "add": _broadcast, "sub": _broadcast,
-    "scale": _same, "sigmoid": _same, "silu": _same,
+    "scale": _same,
     "affine": _affine_rank, "softmax": _keep_last, "logsumexp": _drop_last,
     "pick": _drop_last, "dot": _contract, "gauss_logpdf": _contract,
-    "cosine": _cosine, "wsum": _wsum_rank,
-    "concat": lambda op, ranks, payload: (1, None),
+    "cosine": _cosine, "wsum": _wsum_rank, "fused": _vectors,
 }
 
 
@@ -231,8 +212,7 @@ class Graph:
             bad = next(a for a in args if not 0 <= a < len(nodes))
             raise GraphError(f"{op}: argument node {bad} does not exist")
         node = _Node(op, args, payload, *_RANKS[op](op, [nodes[a].rank for a in args], payload))
-        if args and self._const_ids.issuperset(args) and not (
-                payload and any([isinstance(v, Param) for v in payload.values()])):
+        if args and self._const_ids.issuperset(args):
             # fold: evaluate once now, and the node becomes a constant leaf
             values = [nodes[a].payload["value"] for a in args]
             if node.spread:
@@ -271,17 +251,9 @@ class Graph:
         return self._append("scale", (a,), {"k": float(k) if k.ndim == 0 else k})
 
     def affine(self, x, weight, bias=None):
-        """weight @ x + bias; weight/bias may be ndarrays or Params, and an
-        ndarray weight (S..., out, in) with bias (S..., out) stacks S maps."""
+        """weight @ x + bias with fixed arrays; a weight (S..., out, in) with
+        bias (S..., out) stacks S maps."""
         return self._append("affine", (x,), {"W": weight, "b": bias})
-
-    def sigmoid(self, a):
-        return self._append("sigmoid", (a,))
-
-    def silu(self, a):
-        """a * sigmoid(a); the sigmoid is a node of its own, so the reverse
-        sweep reads it instead of recomputing it."""
-        return self._append("silu", (a, self.sigmoid(a)))
 
     def softmax(self, a):
         return self._append("softmax", (a,))
@@ -312,12 +284,14 @@ class Graph:
         row = nodes[v].rank - nodes[r].rank if 0 <= min(r, v) and max(r, v) < len(nodes) else 0
         return self._append("wsum", (r, v), {"row": row})
 
-    def concat(self, parts):
-        """Join scalar and vector nodes into one vector node."""
-        parts = tuple(parts)
-        # a part that does not exist is skipped here and reported by _append
-        ranks = tuple(self.nodes[a].rank for a in parts if 0 <= a < len(self.nodes))
-        return self._append("concat", parts, {"ranks": ranks})
+    def fused(self, fn, args):
+        """A vector node computed by fn from vector nodes `args`.
+
+        fn(*values) returns (value, vjp): the node's value, a row per batch
+        row, and a function from the node's adjoint to one adjoint per
+        argument, each with the batch axes.  The reverse sweep calls the
+        vjp of the latest evaluate."""
+        return self._append("fused", args, {"fn": fn})
 
     def mark_output(self, nid):
         if not (0 <= nid < len(self.nodes)):
@@ -334,8 +308,8 @@ def _affine(W, x):
 
 def _f_affine(node, x):
     pl = node.payload
-    v = _affine(_pval(pl["W"]), x)
-    return v if pl["b"] is None else v + _pval(pl["b"])
+    v = _affine(pl["W"], x)
+    return v if pl["b"] is None else v + pl["b"]
 
 
 # np.add.reduce and np.maximum.reduce are what np.sum and np.max call,
@@ -371,11 +345,9 @@ def _f_wsum(node, r, v):
     return first
 
 
-def _f_concat(node, *vs):
-    ranks = node.payload["ranks"]
-    lead = np.broadcast_shapes(*(v.shape[:v.ndim - r] for v, r in zip(vs, ranks)))
-    return np.concatenate([np.broadcast_to(v if r else _col(v), lead + (v.shape[-1] if r else 1,))
-                           for v, r in zip(vs, ranks)], axis=-1)
+def _f_fused(node, *args):
+    value, node.payload["vjp"] = node.payload["fn"](*args)
+    return value
 
 
 _FORWARD = {
@@ -383,8 +355,6 @@ _FORWARD = {
     "sub": lambda node, a, b: a - b,
     "scale": lambda node, a: node.payload["k"] * a,
     "affine": _f_affine,
-    "sigmoid": lambda node, a: _sigmoid(a),
-    "silu": lambda node, a, s: a * s,
     "softmax": _f_softmax,
     "logsumexp": _f_logsumexp,
     "dot": lambda node, a, b: np.vecdot(a, b),
@@ -392,7 +362,7 @@ _FORWARD = {
     "gauss_logpdf": _f_gauss_logpdf,
     "pick": lambda node, v: v[..., node.payload["i"]],
     "wsum": _f_wsum,
-    "concat": _f_concat,
+    "fused": _f_fused,
 }
 
 
@@ -453,12 +423,7 @@ def evaluate(graph, bindings):
 # -- reverse sweep: adjoints of each argument given the node's adjoint g ----
 
 def _b_affine(node, g, y, x):
-    return (_affine(_pval(node.payload["W"]).mT, g),)
-
-
-def _b_silu(node, g, y, x, s):
-    # the sigmoid node sends nothing on: its adjoint is folded in here
-    return (g * s * (1.0 + x * (1.0 - s)),)
+    return (_affine(node.payload["W"].mT, g),)
 
 
 def _b_cosine(node, g, y, a, b):
@@ -492,23 +457,11 @@ def _b_wsum(node, g, y, r, v):
     return gr, gv
 
 
-def _b_concat(node, g, y, *vs):
-    out, off = [], 0
-    for v, r in zip(vs, node.payload["ranks"]):
-        n = v.shape[-1] if r else 1
-        piece = g[..., off:off + n]
-        out.append(piece if r else piece[..., 0])
-        off += n
-    return out
-
-
 _BACKWARD = {
     "add": lambda node, g, y, a, b: (g, g),
     "sub": lambda node, g, y, a, b: (g, -g),
     "scale": lambda node, g, y, a: (node.payload["k"] * g,),
     "affine": _b_affine,
-    "sigmoid": lambda node, g, y, a: (g * y * (1.0 - y),),
-    "silu": _b_silu,
     "softmax": lambda node, g, y, a: (y * (g - _col(np.vecdot(g, y))),),
     "logsumexp": lambda node, g, y, x: (_col(g) * np.exp(x - _col(y)),),
     "dot": lambda node, g, y, a, b: (_col(g) * b, _col(g) * a),
@@ -516,19 +469,8 @@ _BACKWARD = {
     "gauss_logpdf": _b_gauss_logpdf,
     "pick": _b_pick,
     "wsum": _b_wsum,
-    "concat": _b_concat,
+    "fused": lambda node, g, y, *args: node.payload["vjp"](g),
 }
-
-
-def _accumulate_params(node, g, x):
-    """Add an affine node's weight and bias gradients, summed over rows."""
-    W, b = node.payload["W"], node.payload["b"]
-    g2 = g.reshape(-1, g.shape[-1])
-    if isinstance(W, Param):
-        x2 = np.broadcast_to(x, g.shape[:-1] + x.shape[-1:]).reshape(-1, x.shape[-1])
-        W.grad += g2.T @ x2
-    if isinstance(b, Param):
-        b.grad += g2.sum(axis=0)
 
 
 def _add_slices(adj, a, ga, m, tail):
@@ -543,7 +485,7 @@ def _add_slices(adj, a, ga, m, tail):
     adj[a] = acc
 
 
-def _backward(graph, accumulate_params=False):
+def _backward(graph):
     """Reverse sweep from an output that is scalar per row; returns per-node
     adjoints."""
     if graph.values is None:
@@ -572,8 +514,6 @@ def _backward(graph, accumulate_params=False):
                 _add_slices(adj, a, ga, *spread[j])
             else:
                 adj[a] = ga if adj[a] is None else adj[a] + ga
-        if accumulate_params and node.op == "affine":
-            _accumulate_params(node, g, vals[args[0]])
     return adj
 
 
@@ -588,12 +528,6 @@ def gradient(graph, wrt):
         val = graph.values[graph.input_ids[wrt]]
         return np.zeros_like(val)
     return np.asarray(g, dtype=np.float64)
-
-
-def param_gradients(graph):
-    """Reverse sweep that accumulates into every Param used by the graph,
-    summed over batch rows."""
-    _backward(graph, accumulate_params=True)
 
 
 def finite_diff_grad(f, x, step=1e-6, order=2):

@@ -8,7 +8,8 @@ Two families share one interface (``score(x, c, t, sched)``):
   log-likelihood have nontrivial embedding gradients.  All quantities are
   exact, which makes this family the oracle for every theory check.
 * :class:`ScoreNet` - a small SiLU MLP over concat(x, c, time features),
-  trained by denoising score matching with plain SGD.
+  trained by denoising score matching with plain SGD.  One backprop serves
+  training and the tape, where the network is a single node.
 
 Embeddings are plain float arrays throughout; per-step variants and update
 directions are handled by the update module.
@@ -22,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Param
 from .fileio import open_atomic
 from .schedules import step_ddpm
 
@@ -298,7 +298,8 @@ def _mlp_layer_shapes(data_dim, embed_dim, hidden, depth, time_feats):
 
 
 class ScoreNet:
-    """SiLU MLP score model over concat(x, c, sinusoidal time features)."""
+    """SiLU MLP score model over concat(x, c, sinusoidal time features);
+    params holds plain arrays W_0, b_0, W_1, b_1, ..., input layer first."""
 
     def __init__(self, data_dim, embed_dim, hidden=64, depth=3, time_feats=8, seed=0):
         if time_feats % 2 != 0:
@@ -316,8 +317,8 @@ class ScoreNet:
             scale = np.sqrt(1.0 / w_shape[1])
             if i == len(layers) - 1:
                 scale *= 0.1
-            self.params.append(Param(rng.normal(0.0, scale, w_shape)))
-            self.params.append(Param(np.zeros(b_shape)))
+            self.params.append(rng.normal(0.0, scale, w_shape))
+            self.params.append(np.zeros(b_shape))
 
     def time_features(self, t, T):
         """Sinusoidal features of t/T at octave frequencies."""
@@ -338,7 +339,7 @@ class ScoreNet:
         h = inp
         n_layers = len(self.params) // 2
         for i in range(n_layers):
-            W, b = self.params[2 * i].value, self.params[2 * i + 1].value
+            W, b = self.params[2 * i], self.params[2 * i + 1]
             h = (np.matmul(h[..., None, :], W.T)[..., 0, :] if rowwise else h @ W.T) + b
             if i < n_layers - 1:
                 sig = 1.0 / (1.0 + np.exp(-h))
@@ -356,7 +357,7 @@ class ScoreNet:
         acts, pre, sigs = cache
         grads = []
         for i in range(len(self.params) // 2 - 1, -1, -1):
-            W = self.params[2 * i].value
+            W = self.params[2 * i]
             if not rowwise:
                 grads[:0] = (grad.T @ acts[i], grad.sum(axis=0))
             grad = np.matmul(grad[..., None, :], W)[..., 0, :] if rowwise else grad @ W
@@ -365,33 +366,37 @@ class ScoreNet:
                 grad = grad * sig * (1.0 + pre[i - 1] * (1.0 - sig))
         return grad, grads
 
+    def _rows(self, x, c, feats):
+        """The input rows concat(x, c, feats), over the broadcast leading
+        axes of x and c."""
+        x = np.asarray(x, dtype=np.float64)
+        c = np.asarray(c, dtype=np.float64)
+        lead = np.broadcast_shapes(x.shape[:-1], c.shape[:-1])
+        return np.concatenate([np.broadcast_to(x, lead + (self.data_dim,)),
+                               np.broadcast_to(c, lead + (self.embed_dim,)),
+                               np.broadcast_to(feats, lead + (self.time_feats,))], axis=-1)
+
     def score(self, x, c, t, sched):
         """Network forward pass; batched over leading axes of x (and c),
         each row exactly as it is alone."""
-        x = np.asarray(x, dtype=np.float64)
-        c = np.asarray(c, dtype=np.float64)
-        feats = self.time_features(t, sched.T)
-        lead = np.broadcast_shapes(x.shape[:-1], c.shape[:-1])
-        inp = np.concatenate([np.broadcast_to(x, lead + (self.data_dim,)),
-                              np.broadcast_to(c, lead + (self.embed_dim,)),
-                              np.broadcast_to(feats, lead + (self.time_feats,))], axis=-1)
-        out, _ = self._forward_cached(inp, rowwise=True)
-        return out
+        inp = self._rows(x, c, self.time_features(t, sched.T))
+        return self._forward_cached(inp, rowwise=True)[0]
 
     def emit_score(self, g, x_ref, c_ref, t, sched):
-        """Append the network forward pass to graph g (inputs x, c)."""
-        feats = g.constant(self.time_features(t, sched.T))
-        h = g.concat([x_ref, c_ref, feats])
-        n_layers = len(self.params) // 2
-        for i in range(n_layers):
-            h = g.affine(h, self.params[2 * i], self.params[2 * i + 1])
-            if i < n_layers - 1:
-                h = g.silu(h)
-        return h
+        """Append the network to graph g (inputs x, c) as one node: its
+        value has the bits of score, and its adjoints come from the per-row
+        backprop."""
+        feats = self.time_features(t, sched.T)
+        d, e = self.data_dim, self.embed_dim
 
-    def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
+        def forward(x, c):
+            out, cache = self._forward_cached(self._rows(x, c, feats), rowwise=True)
+
+            def vjp(adj):
+                grad = self._backprop(adj, cache, rowwise=True)[0]
+                return grad[..., :d], grad[..., d:d + e]
+            return out, vjp
+        return g.fused(forward, (x_ref, c_ref))
 
 
 def train_dsm(net, model, sched, steps, batch, lr, seed, embeddings=None):
@@ -442,8 +447,7 @@ def train_dsm(net, model, sched, steps, batch, lr, seed, embeddings=None):
         losses[step] = loss
 
         _, grads = net._backprop(2.0 * resid / batch, cache)
-        for p, grad in zip(net.params, grads):
-            p.value = p.value - lr * grad
+        net.params = [p - lr * grad for p, grad in zip(net.params, grads)]
     return losses
 
 
@@ -524,7 +528,7 @@ def save_checkpoint(model, path):
             "hidden": model.hidden,
             "depth": model.depth,
             "time_feats": model.time_feats,
-            "weights": [p.value.reshape(-1).tolist() for p in model.params],
+            "weights": [p.reshape(-1).tolist() for p in model.params],
         }
     else:
         raise ModelError(f"cannot checkpoint {type(model).__name__}")
@@ -574,8 +578,7 @@ def _scorenet_from(doc):
     values = [_checkpoint_array(flat, f"weights[{i}]", shape)
               for i, (flat, shape) in enumerate(zip(weights, shapes))]
     net = ScoreNet(**dims, seed=0)
-    for p, v in zip(net.params, values):
-        p.value = v
+    net.params = values
     return net
 
 

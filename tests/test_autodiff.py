@@ -1,18 +1,10 @@
 import numpy as np
 import pytest
 
-from embedlab.autodiff import (
-    Graph,
-    GraphError,
-    Param,
-    evaluate,
-    finite_diff_grad,
-    gradient,
-    param_gradients,
-)
-from embedlab.autodiff import _BACKWARD, _FORWARD, _RANKS, _sigmoid
+from embedlab.autodiff import Graph, GraphError, evaluate, finite_diff_grad, gradient
+from embedlab.autodiff import _BACKWARD, _FORWARD, _RANKS
 from embedlab.graphs import classifier_graph
-from embedlab.models import default_task
+from embedlab.models import ScoreNet, default_task
 from embedlab.schedules import default_schedule
 
 
@@ -68,10 +60,15 @@ class TestGradient:
         np.testing.assert_array_equal(gradient(g, "x"), x)
 
     def test_silu_at_zero(self):
+        """The score network's node, one hidden unit reading x with unit
+        weights, is silu(x): its slope at 0 is 1/2 exactly."""
+        net = ScoreNet(1, 1, hidden=1, depth=1, time_feats=0)
+        net.params = [np.array([[1.0, 0.0]]), np.zeros(1), np.ones((1, 1)), np.zeros(1)]
         g = Graph()
         x = g.placeholder("x")
-        g.mark_output(g.dot(g.silu(x), g.constant(np.ones(1))))
-        evaluate(g, {"x": np.array([0.0])})
+        s = net.emit_score(g, x, g.placeholder("c"), 1, default_schedule())
+        g.mark_output(g.dot(s, g.constant(np.ones(1))))
+        evaluate(g, {"x": np.array([0.0]), "c": np.array([0.7])})
         np.testing.assert_array_equal(gradient(g, "x"), [0.5])
 
     def test_cosine_matches_finite_differences(self):
@@ -85,7 +82,7 @@ class TestGradient:
     def test_requires_scalar_output(self):
         g = Graph()
         x = g.placeholder("x")
-        g.mark_output(g.silu(x))
+        g.mark_output(g.softmax(x))
         evaluate(g, {"x": np.array([0.3, 0.4])})
         with pytest.raises(GraphError, match="scalar"):
             gradient(g, "x")
@@ -105,14 +102,14 @@ class TestGradient:
         def single(W):
             g = Graph()
             x = g.placeholder("x")
-            g.mark_output(g.dot(g.silu(g.affine(x, W)), g.constant(np.ones(3))))
+            g.mark_output(g.dot(g.softmax(g.affine(x, W)), g.constant(np.arange(3.0))))
             evaluate(g, {"x": x0})
             return gradient(g, "x")
 
         g = Graph()
         x = g.placeholder("x")
-        f1 = g.dot(g.silu(g.affine(x, W1)), g.constant(np.ones(3)))
-        f2 = g.dot(g.silu(g.affine(x, W2)), g.constant(np.ones(3)))
+        f1 = g.dot(g.softmax(g.affine(x, W1)), g.constant(np.arange(3.0)))
+        f2 = g.dot(g.softmax(g.affine(x, W2)), g.constant(np.arange(3.0)))
         g.mark_output(g.add(f1, f2))
         evaluate(g, {"x": x0})
         combined = gradient(g, "x")
@@ -133,12 +130,16 @@ class TestGradCheck:
         np.testing.assert_array_equal(gradient(g, "x"), w)
 
     def test_silu_mlp(self):
+        """The score network's node, a SiLU MLP with two hidden layers,
+        between affine maps of x."""
         rng = np.random.default_rng(11)
+        net = ScoreNet(4, 3, hidden=8, depth=2, seed=11)
         g = Graph()
         x = g.placeholder("x")
-        h1 = g.silu(g.affine(x, rng.standard_normal((8, 4)), rng.standard_normal(8)))
-        h2 = g.silu(g.affine(h1, rng.standard_normal((8, 8)), rng.standard_normal(8)))
-        g.mark_output(g.dot(h2, g.constant(rng.standard_normal(8))))
+        s = net.emit_score(g, g.affine(x, rng.standard_normal((4, 4))),
+                           g.constant(rng.standard_normal(3)), 37, default_schedule())
+        g.mark_output(g.dot(g.affine(s, rng.standard_normal((8, 4))),
+                            g.constant(rng.standard_normal(8))))
         assert fd_relative_error(g, rng.standard_normal(4), step=1e-5) <= 1e-6
 
     def test_constant_graph_zero_gradient(self):
@@ -162,12 +163,6 @@ def _primitive_cases(rng):
     def out_affine(g, x):
         return g.dot(g.affine(x, W, b), g.constant(ones4))
 
-    def out_silu(g, x):
-        return g.dot(g.silu(x), g.constant(ones_d))
-
-    def out_sigmoid(g, x):
-        return g.dot(g.sigmoid(x), g.constant(ones_d))
-
     def out_softmax(g, x):
         return g.pick(g.softmax(x), 2)
 
@@ -188,7 +183,7 @@ def _primitive_cases(rng):
 
     def out_mix(g, x):
         s = g.wsum(g.softmax(x), g.sub(x, g.constant(mu)))
-        return g.logsumexp(g.concat([s, g.silu(x)]))
+        return g.add(s, g.logsumexp(g.scale(g.softmax(x), var)))
 
     # stacked rows: x broadcast over 3 stacked (3, d) maps and means
     W3 = rng.standard_normal((3, d, d)) * 0.5
@@ -201,15 +196,22 @@ def _primitive_cases(rng):
         return g.logsumexp(g.add(g.gauss_logpdf(x, mus, var3), g.dot(x, g.sub(mus, x))))
 
     def out_wsum(g, x):
-        pulls = g.sub(g.silu(g.affine(x, W3, b3)), g.scale(x, M3[0]))
+        pulls = g.sub(g.softmax(g.affine(x, W3, b3)), g.scale(x, M3[0]))
         return g.dot(g.wsum(g.softmax(g.affine(x, W3[0, :3])), pulls), g.constant(yvec))
 
     def out_wsum_scalars(g, x):
         return g.wsum(g.softmax(x), g.dot(g.sub(x, g.constant(W3[0])), g.constant(W3[1])))
 
-    return [out_affine, out_silu, out_sigmoid, out_softmax, out_logsumexp, out_dot,
-            out_cosine, out_gauss, out_gauss_mu, out_mix, out_stacked_gauss,
-            out_wsum, out_wsum_scalars]
+    def out_fused(g, x):
+        # tanh(a) * b as one node over x and a softmax of x
+        def fn(a, b):
+            th = np.tanh(a)
+            return th * b, lambda adj: (adj * b * (1.0 - th * th), adj * th)
+        return g.cosine(g.fused(fn, (x, g.softmax(x))), g.constant(yvec))
+
+    return [out_affine, out_softmax, out_logsumexp, out_dot, out_cosine, out_gauss,
+            out_gauss_mu, out_mix, out_stacked_gauss, out_wsum, out_wsum_scalars,
+            out_fused]
 
 
 def test_every_primitive_matches_central_differences():
@@ -224,21 +226,6 @@ def test_every_primitive_matches_central_differences():
             g.mark_output(build(g, x))
             err = fd_relative_error(g, rng.standard_normal(5) * 1.5)
             assert err < 1e-6, f"{build.__name__}: {err}"
-
-
-def test_param_gradients_accumulate():
-    """Affine weights receive exact outer-product gradients."""
-    rng = np.random.default_rng(9)
-    W = Param(rng.standard_normal((3, 4)))
-    bvec = Param(np.zeros(3))
-    g = Graph()
-    x = g.placeholder("x")
-    g.mark_output(g.dot(g.affine(x, W, bvec), g.constant(np.array([1.0, 2.0, 3.0]))))
-    x0 = rng.standard_normal(4)
-    evaluate(g, {"x": x0})
-    param_gradients(g)
-    np.testing.assert_allclose(W.grad, np.outer([1.0, 2.0, 3.0], x0), rtol=1e-15)
-    np.testing.assert_allclose(bvec.grad, [1.0, 2.0, 3.0], rtol=1e-15)
 
 
 def test_batched_rows_match_single_rows_bitwise():
@@ -280,37 +267,25 @@ def test_row_ranks_checked_when_built():
         g.wsum(s, x)
     with pytest.raises(GraphError, match="vector"):
         g.dot(s, s)
-
-
-def test_param_gradients_sum_over_rows():
-    rng = np.random.default_rng(4)
-    W = Param(rng.standard_normal((3, 4)))
-    g = Graph()
-    x = g.placeholder("x")
-    g.mark_output(g.dot(g.affine(x, W), g.constant(np.array([1.0, 2.0, 3.0]))))
-    X = rng.standard_normal((5, 4))
-    evaluate(g, {"x": X})
-    param_gradients(g)
-    np.testing.assert_allclose(W.grad, np.outer([1.0, 2.0, 3.0], X.sum(axis=0)), rtol=1e-13)
+    with pytest.raises(GraphError, match="vector"):
+        g.fused(lambda a, b: (a * b, None), (x, s))
 
 
 def test_batched_adjoints_reach_constant_subgraphs():
-    """A Param weight over an unbatched constant input takes batched
-    adjoints and accumulates their sum over rows, and the unbatched constant
-    weights of a wsum broadcast over the batch rows."""
+    """Batched rows meet unbatched constants: a folded affine map of a
+    constant in a dot, and the constant weights of a wsum, which broadcast
+    over the batch rows.  Each gradient row is the unbatched one."""
     rng = np.random.default_rng(5)
-    W = Param(rng.standard_normal((3, 2)))
+    W = rng.standard_normal((3, 2))
     cvec = np.array([1.5, -2.0])
     g = Graph()
     x = g.placeholder("x")
     cn = g.constant(cvec)
-    parts = g.concat([g.dot(x, g.constant(np.zeros(3))), g.dot(x, g.constant(np.ones(3)))])
+    parts = g.affine(x, np.array([np.zeros(3), np.ones(3)]))
     g.mark_output(g.add(g.dot(g.affine(cn, W), x), g.wsum(cn, parts)))
     X = rng.standard_normal((4, 3))
     evaluate(g, {"x": X})
-    np.testing.assert_allclose(gradient(g, "x"), np.tile(W.value @ cvec - 2.0, (4, 1)), rtol=1e-14)
-    param_gradients(g)
-    np.testing.assert_allclose(W.grad, np.outer(X.sum(axis=0), cvec), rtol=1e-13)
+    np.testing.assert_allclose(gradient(g, "x"), np.tile(W @ cvec - 2.0, (4, 1)), rtol=1e-14)
 
 
 # -- constant folding ---------------------------------------------------------
@@ -327,20 +302,12 @@ def test_classifier_graph_leaves_no_constant_only_node():
                 assert not all(g.nodes[a].op == "const" for a in node.args), (i, node.op)
 
 
-def test_param_weight_over_constant_is_not_folded():
-    W = Param(np.ones((2, 3)))
-    g = Graph()
-    c = g.constant(np.array([1.0, 2.0, 3.0]))
-    assert g.nodes[g.affine(c, W)].op == "affine"
-    assert g.nodes[g.affine(c, W.value)].op == "const"
-    assert g.nodes[g.affine(c, W.value, Param(np.zeros(2)))].op == "affine"
-
-
 def test_folded_gradient_matches_unfoldable_placeholder_graph():
     """The classifier graph, its prompts stacked into folded constants,
-    against the same function with each embedding bound as a placeholder of
-    its own, which cannot fold, and the prompts joined by concat: equal
-    values and equal x-gradients, bit for bit, batched and unbatched."""
+    against the same graph with the (P, e) prompt stack made the constant
+    plus 0 * z, for a placeholder z bound to zeros, so that nothing folds:
+    equal values and equal x-gradients, bit for bit, batched and
+    unbatched."""
     task, sched = default_task(), default_schedule()
     model, y = task.model, 1
     rng = np.random.default_rng(17)
@@ -348,15 +315,15 @@ def test_folded_gradient_matches_unfoldable_placeholder_graph():
         folded = classifier_graph(task.conditionals(), task.priors, y, t, sched)
         g = Graph()
         x = g.placeholder("x")
-        terms = [g.add(model.emit_log_likelihood(g, x, g.placeholder(f"c{i}"), t, sched),
-                       g.constant(np.log(p))) for i, p in enumerate(task.priors)]
-        g.mark_output(g.sub(terms[y], g.logsumexp(g.concat(terms))))
+        cs = g.add(g.constant(task.embed_table), g.scale(g.placeholder("z"), 0.0))
+        terms = g.add(model.emit_log_likelihood(g, x, cs, t, sched),
+                      g.constant(np.log(task.priors)))
+        g.mark_output(g.sub(g.pick(terms, y), g.logsumexp(terms)))
         assert all(n.op != "const" or "folded" not in n.payload for n in g.nodes)
         for X in (rng.standard_normal(2) * 2.0, rng.standard_normal((3, 2)) * 2.0):
-            cs = {f"c{i}": np.broadcast_to(c, X.shape[:-1] + c.shape)
-                  for i, c in enumerate(task.embed_table)}
+            z = np.zeros(X.shape[:-1] + (model.embed_dim,))
             v_fold = evaluate(folded, {"x": X}).copy()
-            v_ref = evaluate(g, dict(cs, x=X)).copy()
+            v_ref = evaluate(g, {"x": X, "z": z}).copy()
             np.testing.assert_array_equal(v_fold, v_ref)
             np.testing.assert_array_equal(gradient(folded, "x"), gradient(g, "x"))
 
@@ -373,33 +340,16 @@ def test_nonfinite_folded_constant_rejected_with_node_index():
         evaluate(g, {"x": np.ones(2)})
 
 
+def test_nonfinite_fused_value_rejected_with_node_index():
+    g = Graph()
+    x = g.placeholder("x")
+    n = g.fused(lambda a: (1.0 / a, None), (x,))
+    g.mark_output(g.dot(n, g.constant(np.ones(2))))
+    with np.errstate(divide="ignore"), pytest.raises(GraphError, match=f"node {n} \\(fused\\)"):
+        evaluate(g, {"x": np.array([1.0, 0.0])})
+
+
 # -- tape internals -----------------------------------------------------------
-
-def test_sigmoid_matches_two_branch_formula_bitwise():
-    """_sigmoid gives the bits of 1/(1+exp(-x)) for x >= 0 and
-    exp(x)/(1+exp(x)) below, evaluated on each side of the split.  A NaN
-    stays NaN, its sign bit aside; the tape rejects it either way."""
-    def oracle(x):
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        return out
-
-    rng = np.random.default_rng(23)
-    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
-                         36.7, -36.7, 709.0, -709.0, 746.0, -746.0, 1e308, -1e308])
-    arrays = [specials, rng.standard_normal((2, 64))]
-    arrays += [rng.standard_normal(n) * scale for n in (1, 2, 3, 8, 4097)
-               for scale in (1e-3, 1.0, 30.0, 800.0)]
-    for x in arrays:
-        got, want = _sigmoid(x), oracle(x)
-        nan = np.isnan(want)
-        assert got.shape == want.shape
-        assert np.array_equal(np.isnan(got), nan)
-        assert got[~nan].tobytes() == want[~nan].tobytes()
-
 
 def test_tape_tables_and_builders_agree():
     """Every primitive has a rank rule, a forward and a backward kernel,

@@ -171,14 +171,13 @@ def test_trajectory_independent_of_batch_size(method, origin, n, data, seed,
 
 def _net(path, weights):
     net = ScoreNet(2, 4, seed=0)
-    for p, w in zip(net.params, weights(net)):
-        p.value = w
+    net.params = weights(net)
     save_checkpoint(net, path)
     return str(path)
 
 
 def _zero_weights(net):
-    return [np.zeros_like(p.value) for p in net.params]
+    return [np.zeros_like(p) for p in net.params]
 
 
 def _exploding_weights(net):

@@ -385,8 +385,7 @@ class TestRunExperiment:
         from embedlab.harness.run import TrajectoryAborted
         from embedlab.models import ScoreNet, save_checkpoint
         net = ScoreNet(2, 4, seed=0)
-        for p in net.params:
-            p.value = p.value * 1e200
+        net.params = [p * 1e200 for p in net.params]
         path = tmp_path / "boom.json"
         save_checkpoint(net, path)
         cfg = config_from_dict({"n_samples": 1, "schedule": {"T": 20},

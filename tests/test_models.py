@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embedlab import models as models_mod
-from embedlab.autodiff import Graph, evaluate, finite_diff_grad, gradient, param_gradients
-from embedlab.graphs import classifier_graph
+from embedlab.alignment import CosineAlignment
+from embedlab.autodiff import Graph, _backward, evaluate, finite_diff_grad, gradient
+from embedlab.graphs import classifier_graph, h_t_graph
 from embedlab.models import (
     MixtureModel,
     ModelError,
@@ -272,8 +273,7 @@ def test_perturbed_marginal_consistency(task, sched):
 class TestScoreNet:
     def test_zero_weights_zero_output(self, sched):
         net = ScoreNet(2, 4, seed=0)
-        for p in net.params:
-            p.value = np.zeros_like(p.value)
+        net.params = [np.zeros_like(p) for p in net.params]
         out = net.score(np.ones(2), np.ones(4), 50, sched)
         np.testing.assert_array_equal(out, np.zeros(2))
 
@@ -284,26 +284,71 @@ class TestScoreNet:
         assert net.score(rng.standard_normal((7, 2)), rng.standard_normal(4), 3, sched).shape == (7, 2)
 
     def test_tape_emission_matches_forward(self, sched):
+        """The network's tape node has the bits of score, for one unbatched
+        row and for a batch of 3."""
         net = ScoreNet(2, 4, seed=4)
         rng = np.random.default_rng(2)
-        x = rng.standard_normal(2)
-        c = rng.standard_normal(4)
         g = Graph()
-        xr = g.placeholder("x")
-        cr = g.placeholder("c")
-        g.mark_output(g.dot(net.emit_score(g, xr, cr, 17, sched), g.constant(np.ones(2))))
-        val = evaluate(g, {"x": x, "c": c})
-        assert float(val) == pytest.approx(float(np.sum(net.score(x, c, 17, sched))), rel=1e-12)
+        s = net.emit_score(g, g.placeholder("x"), g.placeholder("c"), 17, sched)
+        assert len(g.nodes) == 3
+        g.mark_output(s)
+        for lead in ((), (3,)):
+            x = rng.standard_normal(lead + (2,))
+            c = rng.standard_normal(lead + (4,))
+            val = evaluate(g, {"x": x, "c": c})
+            want = net.score(x, c, 17, sched)
+            assert val.shape == want.shape and val.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_tape_node_matches_central_differences(self, task, sched, lead):
+        """h_t of a learned model, the network's node inside the Tweedie
+        mean and the cosine alignment: its c- and x-gradients against
+        central differences of the graph's forward pass, row by row, to
+        1e-6 relative plus 1e-9, ten times the quotient's rounding noise
+        for h_t of order 1 and a step of 1e-6."""
+        net = ScoreNet(2, 4, seed=5)
+        h = CosineAlignment.for_task(task)
+        rng = np.random.default_rng(12)
+        X = rng.standard_normal(lead + (2,))
+        C = task.embed_table[1] + 0.3 * rng.standard_normal(lead + (4,))
+        for t in (20, 80):
+            g = h_t_graph(net, h, 1, t, sched)
+            evaluate(g, {"x": X, "c": C})
+            grads = {"x": gradient(g, "x"), "c": gradient(g, "c")}
+            for i in np.ndindex(lead):
+                at = {"x": X[i], "c": C[i]}
+                for name in at:
+                    fd = finite_diff_grad(
+                        lambda v: float(evaluate(g, dict(at, **{name: v}))), at[name])
+                    err = np.linalg.norm(grads[name][i] - fd)
+                    assert err <= 1e-6 * np.linalg.norm(fd) + 1e-9, (t, i, name)
+
+    def test_tape_node_adjoint_adds_after_the_tweedie_add(self, task, sched):
+        """x feeds the network's node and the Tweedie mean's add.  The
+        reverse sweep reaches the add first, so x's adjoint is the add's
+        adjoint plus the node's x-adjoint, in that order, bit for bit."""
+        net = ScoreNet(2, 4, seed=5)
+        rng = np.random.default_rng(13)
+        g = h_t_graph(net, CosineAlignment.for_task(task), 2, 41, sched)
+        x_id = g.input_ids["x"]
+        node = next(i for i, n in enumerate(g.nodes) if n.op == "fused")
+        add = next(i for i, n in enumerate(g.nodes) if n.op == "add" and x_id in n.args)
+        assert add > node
+        evaluate(g, {"x": rng.standard_normal((3, 2)), "c": rng.standard_normal((3, 4))})
+        adj = _backward(g)
+        node_x, _ = g.nodes[node].payload["vjp"](adj[node])
+        want = adj[add] + node_x
+        assert gradient(g, "x").tobytes() == want.tobytes()
 
 
 class TestTrainDsm:
     def test_zero_steps_leaves_net_unchanged(self, task, sched):
         net = ScoreNet(2, 4, seed=3)
-        before = [p.value.copy() for p in net.params]
+        before = [p.copy() for p in net.params]
         losses = train_dsm(net, task.model, sched, steps=0, batch=8, lr=1e-3, seed=0)
         assert losses.size == 0
         for p, b in zip(net.params, before):
-            np.testing.assert_array_equal(p.value, b)
+            np.testing.assert_array_equal(p, b)
 
     def test_time_features_computed_once_per_timestep(self, task, monkeypatch):
         """2 steps x 16 rows draw 32 timesteps from T=10, so a call per row
@@ -342,14 +387,12 @@ class TestTrainDsm:
         out, cache = net._forward_cached(inp)
         _, grads = net._backprop(2.0 * (out - target) / batch, cache)
         assert len(grads) == len(net.params)
-        for p, grad in zip(net.params, grads):
-            value = p.value
-
+        for k, (value, grad) in enumerate(zip(list(net.params), grads)):
             def at(flat):
-                p.value = flat.reshape(value.shape)
+                net.params[k] = flat.reshape(value.shape)
                 return dsm_loss()
             fd = finite_diff_grad(at, value.ravel()).reshape(value.shape)
-            p.value = value
+            net.params[k] = value
             close(grad, fd)
 
         v = rng.standard_normal((batch, 2))
@@ -359,67 +402,6 @@ class TestTrainDsm:
             fd = finite_diff_grad(lambda z: float(v[i] @ net._forward_cached(z, rowwise=True)[0]),
                                   inp[i])
             close(gin[i], fd)
-
-    def test_backprop_matches_tape_engine(self, task, sched):
-        """The hand-rolled training backprop against tape param gradients
-        on one tiny batch."""
-        net = ScoreNet(2, 4, seed=6)
-        rng = np.random.default_rng(8)
-        batch = 3
-        cs = rng.standard_normal((batch, 4))
-        xt = rng.standard_normal((batch, 2))
-        ts = rng.integers(1, sched.T + 1, size=batch)
-        target = rng.standard_normal((batch, 2))
-
-        # tape route: mean over the batch of ||s - target||^2
-        for p in net.params:
-            p.zero_grad()
-        g = Graph()
-        outs = []
-        for i in range(batch):
-            xr = g.placeholder(f"x{i}")
-            cr = g.placeholder(f"c{i}")
-            s = net.emit_score(g, xr, cr, int(ts[i]), sched)
-            r = g.sub(s, g.constant(target[i]))
-            outs.append(g.dot(r, r))
-        total = outs[0]
-        for o in outs[1:]:
-            total = g.add(total, o)
-        g.mark_output(g.scale(total, 1.0 / batch))
-        bindings = {}
-        for i in range(batch):
-            bindings[f"x{i}"] = xt[i]
-            bindings[f"c{i}"] = cs[i]
-        evaluate(g, bindings)
-        param_gradients(g)
-        tape_grads = [p.grad.copy() for p in net.params]
-
-        # training route
-        feats = np.stack([net.time_features(t, sched.T) for t in ts])
-        inp = np.concatenate([xt, cs, feats], axis=1)
-        out, (acts, pre, _) = net._forward_cached(inp)
-        grad = 2.0 * (out - target) / batch
-        n_layers = len(net.params) // 2
-        hand = [None] * len(net.params)
-        for i in range(n_layers - 1, -1, -1):
-            W = net.params[2 * i]
-            a_in = acts[i]
-            hand[2 * i] = grad.T @ a_in
-            hand[2 * i + 1] = grad.sum(axis=0)
-            if i > 0:
-                upstream = grad @ W.value
-                z = pre[i - 1]
-                sig = 1.0 / (1.0 + np.exp(-z))
-                grad = upstream * sig * (1.0 + z * (1.0 - sig))
-        for tg, hg in zip(tape_grads, hand):
-            np.testing.assert_allclose(tg, hg, rtol=1e-10, atol=1e-12)
-
-    @pytest.mark.parametrize("lr", [0.0, -1e-3, float("nan"), float("inf"), float("-inf")])
-    def test_bad_learning_rate_rejected_by_name(self, task, sched, lr):
-        """A learning rate that is not a finite positive number is refused
-        before any step, rather than training until the loss overflows."""
-        with pytest.raises(ModelError, match=re.escape(f"lr must be finite and > 0, got {lr!r}")):
-            train_dsm(ScoreNet(2, 4, seed=3), task.model, sched, steps=5, batch=8, lr=lr, seed=0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_step_index(self, task, sched):
@@ -740,7 +722,7 @@ class TestCheckpoints:
         save_checkpoint(net, path)
         loaded = load_checkpoint(path)
         for a, b in zip(net.params, loaded.params):
-            np.testing.assert_array_equal(a.value, b.value)
+            np.testing.assert_array_equal(a, b)
         x = np.array([0.2, -0.4])
         c = np.ones(4)
         np.testing.assert_array_equal(net.score(x, c, 7, sched),
@@ -768,7 +750,7 @@ class TestCheckpoints:
                     "hidden": model.hidden,
                     "depth": model.depth,
                     "time_feats": model.time_feats,
-                    "weights": [p.value.reshape(-1).tolist() for p in model.params],
+                    "weights": [p.reshape(-1).tolist() for p in model.params],
                 }
             with open(path, "w") as fh:
                 json.dump(doc, fh)
