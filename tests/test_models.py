@@ -403,6 +403,13 @@ class TestTrainDsm:
                                   inp[i])
             close(gin[i], fd)
 
+    @pytest.mark.parametrize("lr", [0.0, -1e-3, float("nan"), float("inf"), float("-inf")])
+    def test_bad_learning_rate_rejected_by_name(self, task, sched, lr):
+        """A learning rate that is not a finite positive number is refused
+        before any step, rather than training until the loss overflows."""
+        with pytest.raises(ModelError, match=re.escape(f"lr must be finite and > 0, got {lr!r}")):
+            train_dsm(ScoreNet(2, 4, seed=3), task.model, sched, steps=5, batch=8, lr=lr, seed=0)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_step_index(self, task, sched):
         from embedlab.models import TrainingDiverged
