@@ -346,6 +346,7 @@ def _f_wsum(node, r, v):
 
 
 def _f_fused(node, *args):
+    # the vjp holds this pass's intermediates for the reverse sweep after it
     value, node.payload["vjp"] = node.payload["fn"](*args)
     return value
 

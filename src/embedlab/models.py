@@ -351,20 +351,23 @@ class ScoreNet:
 
     def _backprop(self, grad, cache, rowwise=False):
         """Reverse sweep from the output adjoint `grad`, in the layout of the
-        _forward_cached call that gave `cache`.  Returns the adjoint of the
-        input rows and, in the gemm layout, the gradient of every weight and
-        bias summed over the rows, in params order (none when rowwise)."""
+        _forward_cached call that gave `cache`.  Per row (the tape), returns
+        the adjoint of each input row; in the gemm layout (training), the
+        gradient of every weight and bias summed over the rows, in params
+        order, without the input's adjoint, which training never reads."""
         acts, pre, sigs = cache
         grads = []
         for i in range(len(self.params) // 2 - 1, -1, -1):
             W = self.params[2 * i]
             if not rowwise:
                 grads[:0] = (grad.T @ acts[i], grad.sum(axis=0))
+                if i == 0:
+                    return grads
             grad = np.matmul(grad[..., None, :], W)[..., 0, :] if rowwise else grad @ W
             if i > 0:
                 sig = sigs[i - 1]
                 grad = grad * sig * (1.0 + pre[i - 1] * (1.0 - sig))
-        return grad, grads
+        return grad
 
     def _rows(self, x, c, feats):
         """The input rows concat(x, c, feats), over the broadcast leading
@@ -393,7 +396,7 @@ class ScoreNet:
             out, cache = self._forward_cached(self._rows(x, c, feats), rowwise=True)
 
             def vjp(adj):
-                grad = self._backprop(adj, cache, rowwise=True)[0]
+                grad = self._backprop(adj, cache, rowwise=True)
                 return grad[..., :d], grad[..., d:d + e]
             return out, vjp
         return g.fused(forward, (x_ref, c_ref))
@@ -446,7 +449,7 @@ def train_dsm(net, model, sched, steps, batch, lr, seed, embeddings=None):
             raise TrainingDiverged(step)
         losses[step] = loss
 
-        _, grads = net._backprop(2.0 * resid / batch, cache)
+        grads = net._backprop(2.0 * resid / batch, cache)
         net.params = [p - lr * grad for p, grad in zip(net.params, grads)]
     return losses
 

@@ -385,7 +385,7 @@ class TestTrainDsm:
             return float(np.mean(np.sum(r * r, axis=1)))
 
         out, cache = net._forward_cached(inp)
-        _, grads = net._backprop(2.0 * (out - target) / batch, cache)
+        grads = net._backprop(2.0 * (out - target) / batch, cache)
         assert len(grads) == len(net.params)
         for k, (value, grad) in enumerate(zip(list(net.params), grads)):
             def at(flat):
@@ -396,8 +396,8 @@ class TestTrainDsm:
             close(grad, fd)
 
         v = rng.standard_normal((batch, 2))
-        gin, none = net._backprop(v, net._forward_cached(inp, rowwise=True)[1], rowwise=True)
-        assert none == [] and gin.shape == inp.shape
+        gin = net._backprop(v, net._forward_cached(inp, rowwise=True)[1], rowwise=True)
+        assert gin.shape == inp.shape
         for i in range(batch):
             fd = finite_diff_grad(lambda z: float(v[i] @ net._forward_cached(z, rowwise=True)[0]),
                                   inp[i])
