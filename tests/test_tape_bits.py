@@ -6,12 +6,16 @@ and x-gradients of the h_t graph for the cosine, quadratic and composite
 alignments, the classifier gradient, and the x-gradient of the directional
 embedding-derivative graph.  Each is taken for one unbatched row and for a
 batch of 3 rows, at t = 1, 37 and 100, on the default task (K = 2, 4
-prompts) and on a random mixture with K = 3 and 3 prompts, where a sum of
-three or more adjoints would show a change in the order they are added in.
+prompts) and on random mixtures with K = 1 (2 prompts), K = 3 (3 prompts)
+and K = 5 (4 prompts).  With three or more components a sum of adjoints
+would show a change in the order they are added in, and K = 5 makes those
+sums longer; K = 1 is the one case whose weights take their adjoint
+without a +0.0.
 
-Inputs and outputs are stored as ``float.hex`` strings.  The fixture was
-written by the tape that emitted one node per mixture component and per
-prompt; regenerating it is a decision, made in a reviewed diff:
+Inputs and outputs are stored as ``float.hex`` strings.  The default and
+K = 3 entries were written by the tape that emitted one node per mixture
+component and per prompt, the K = 1 and K = 5 entries by the tape that
+stacks them; regenerating it is a decision, made in a reviewed diff:
 
     PYTHONPATH=src python tests/test_tape_bits.py --write
 """
@@ -38,19 +42,23 @@ TIMES = (1, 37, 100)
 ROWS = (None, 3)          # None: one unbatched row
 
 
-def _k3_task(seed=29):
-    """A random mixture with K = 3, d = 2, e = 3 and 3 prompts."""
+def _random_task(K, priors, seed):
+    """A random mixture with K components, d = 2, e = 3 and one prompt per
+    prior."""
     rng = np.random.default_rng(seed)
-    K, d, e, P = 3, 2, 3, 3
+    d, e, P = 2, 3, len(priors)
     model = MixtureModel(mean_maps=rng.normal(0.0, 0.3, (K, d, e)),
                          mean_offsets=rng.normal(0.0, 1.0, (K, d)),
                          covs=rng.uniform(0.2, 0.6, (K, d)),
                          weight_logits=rng.normal(0.0, 1.0, (K, e)))
     table = rng.normal(0.0, 1.0, (P, e))
-    return DeskTask(model=model, embed_table=table, priors=np.array([0.2, 0.3, 0.5]))
+    return DeskTask(model=model, embed_table=table, priors=np.array(priors))
 
 
-TASKS = {"default": default_task, "k3": _k3_task}
+TASKS = {"default": default_task,
+         "k1": lambda: _random_task(1, [0.4, 0.6], seed=31),
+         "k3": lambda: _random_task(3, [0.2, 0.3, 0.5], seed=29),
+         "k5": lambda: _random_task(5, [0.1, 0.2, 0.3, 0.4], seed=37)}
 
 
 def _alignments(task):
