@@ -7,11 +7,13 @@ named input.
 
 The primitive set is deliberately small: affine map, softmax, log-sum-exp,
 dot product, cosine similarity, diagonal Gaussian log-density and a
-weighted sum over a stacked axis, plus the arithmetic and selection
+weighted sum over the last axis, plus the arithmetic and selection
 operations needed to compose them.  One more node kind, ``fused``, takes
-its value and its arguments' adjoints from a function: a model whose own
+its value and its arguments' adjoints from a function.  A model whose own
 numpy forward pass and backprop are the reference (the score network)
-enters the tape as one such node.
+enters the tape as one such node, and so does the mixture score, whose
+function makes the numpy calls of the primitive chain it stands for,
+forward and reverse.
 
 Rows and stacked axes.  Every node has a row rank fixed when it is built:
 the number of axes of its row.  A scalar has rank 0 and a vector rank 1; a
@@ -24,7 +26,8 @@ each batch row on its own:
 * ``affine``, the reductions (``dot``, ``cosine``, ``softmax``,
   ``logsumexp``, ``gauss_logpdf``) and ``pick`` act on the last axis;
 * ``fused`` takes vector rows and gives vector rows; its function sees the
-  arguments' values as they are and broadcasts them itself;
+  arguments' values as they are and broadcasts them itself, and only the
+  value it returns is checked for finiteness;
 * ``add``, ``sub``, ``dot`` and ``gauss_logpdf`` take operands of
   equal rank, or broadcast the lower-rank operand, a vector or more but
   never a scalar, over the other's leading stacked axes: the new axes go
@@ -33,9 +36,9 @@ each batch row on its own:
   ``(S..., out)`` inserts ``S`` in front of the input's last axis, so a
   vector gives rows ``(S..., out)`` and a stack ``(P, in)`` gives
   ``(P, S..., out)``;
-* ``wsum(r, v)`` is ``sum_k r_k v_k`` over the last axis of ``r``, which
-  is the axis of ``v`` in front of its row (``v``'s last axis when the two
-  have equal ranks);
+* ``wsum(r, v)`` is ``sum_k r_k v_k`` over the last axis of ``r`` and
+  ``v``, which have equal ranks;
+* ``scale`` multiplies by a fixed scalar;
 * a gradient needs an output that is scalar per row, and seeds every row
   with 1.
 
@@ -51,11 +54,15 @@ operand's running adjoint.  An adjoint sent to a broadcast operand carries
 the inserted axes; it is added onto the operand's running adjoint one slice
 at a time, the last (flattened) index first, and never reduced over those
 axes first.  That is the order in which a tape with one node per slice
-visited those nodes.  In the forward pass ``wsum`` chains its terms in
-index order from the first, as a chain of ``add`` nodes does, and it sends
-its weights their adjoint plus 0.0 when there are two or more: the sum of
-one-hot adjoints from one ``pick`` node per weight, whose zeros turn a -0.0
-into +0.0.
+visited those nodes.  A fused node's vjp may hand an argument its adjoint
+as a tuple of terms, which are added onto the running adjoint one at a
+time in the tuple's order: so a fused node keeps the order in which a
+chain of primitive nodes, reaching the argument from several nodes and
+slices, added up its adjoint.  In the forward pass ``wsum`` chains its
+terms in index order from the first, as a chain of ``add`` nodes does,
+and it sends its weights their adjoint plus 0.0 when there are two or
+more: the sum of one-hot adjoints from one ``pick`` node per weight,
+whose zeros turn a -0.0 into +0.0.
 
 Constant folding: a node whose arguments are all constants is evaluated
 once when it is appended and stored as a constant at the same node index.
@@ -172,12 +179,8 @@ def _vectors(op, ranks, payload):
 
 
 def _wsum_rank(op, ranks, payload):
-    r, v = ranks
-    if r == 0:
-        raise GraphError(f"{op}: the weights must be a vector or stacked row, not a scalar")
-    if v - r not in (0, 1):
-        raise GraphError(f"{op}: values of row rank {v} do not stack over weights of rank {r}")
-    return v - 1, None
+    _no_scalars(op, ranks)
+    return _same(op, ranks, payload)[0] - 1, None
 
 
 _RANKS = {
@@ -245,10 +248,8 @@ class Graph:
         return self._append("sub", (a, b))
 
     def scale(self, a, k):
-        """Multiply a node by a fixed scalar, or by a fixed array that
-        broadcasts against its rows."""
-        k = _as_array(k)
-        return self._append("scale", (a,), {"k": float(k) if k.ndim == 0 else k})
+        """Multiply a node by a fixed scalar."""
+        return self._append("scale", (a,), {"k": float(k)})
 
     def affine(self, x, weight, bias=None):
         """weight @ x + bias with fixed arrays; a weight (S..., out, in) with
@@ -278,19 +279,17 @@ class Graph:
         return self._append("pick", (v,), {"i": int(index)})
 
     def wsum(self, r, v):
-        """sum_k r_k v_k over the last axis of r."""
-        nodes = self.nodes
-        # a node that does not exist is reported by _append
-        row = nodes[v].rank - nodes[r].rank if 0 <= min(r, v) and max(r, v) < len(nodes) else 0
-        return self._append("wsum", (r, v), {"row": row})
+        """sum_k r_k v_k over the last axis of r and v."""
+        return self._append("wsum", (r, v))
 
     def fused(self, fn, args):
         """A vector node computed by fn from vector nodes `args`.
 
         fn(*values) returns (value, vjp): the node's value, a row per batch
         row, and a function from the node's adjoint to one adjoint per
-        argument, each with the batch axes.  The reverse sweep calls the
-        vjp of the latest evaluate."""
+        argument, each with the batch axes or a tuple of terms that the
+        reverse sweep adds onto the argument's adjoint in that order.  The
+        reverse sweep calls the vjp of the latest evaluate."""
         return self._append("fused", args, {"fn": fn})
 
     def mark_output(self, nid):
@@ -331,18 +330,12 @@ def _f_gauss_logpdf(node, x, mu):
     return -0.5 * np.add.reduce(d * d / pl["var"] + pl["log_norm"], axis=-1)
 
 
-def _terms(node, r, v):
-    """The products r_k v_k, in index order."""
-    if node.payload["row"]:
-        return (r[..., k, None] * v[..., k, :] for k in range(r.shape[-1]))
-    return (r[..., k] * v[..., k] for k in range(r.shape[-1]))
-
-
 def _f_wsum(node, r, v):
-    first, *rest = _terms(node, r, v)
-    for term in rest:
-        first = first + term
-    return first
+    # the products r_k v_k, added in index order
+    out = r[..., 0] * v[..., 0]
+    for k in range(1, r.shape[-1]):
+        out = out + r[..., k] * v[..., k]
+    return out
 
 
 def _f_fused(node, *args):
@@ -447,12 +440,8 @@ def _b_pick(node, g, y, v):
 
 
 def _b_wsum(node, g, y, r, v):
-    if node.payload["row"]:
-        gr = np.add.reduce(g[..., None, :] * v, axis=-1)
-        gv = r[..., None] * g[..., None, :]
-    else:
-        gr = g[..., None] * v
-        gv = r * g[..., None]
+    gr = g[..., None] * v
+    gv = r * g[..., None]
     if r.shape[-1] > 1:
         gr += 0.0           # as the sum of one pick adjoint per weight
     return gr, gv
@@ -513,6 +502,9 @@ def _backward(graph):
                 continue        # a constant's adjoint is never read
             if spread and spread[j]:
                 _add_slices(adj, a, ga, *spread[j])
+            elif type(ga) is tuple:         # a fused vjp's terms, in order
+                for term in ga:
+                    adj[a] = term if adj[a] is None else adj[a] + term
             else:
                 adj[a] = ga if adj[a] is None else adj[a] + ga
     return adj

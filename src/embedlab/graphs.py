@@ -5,6 +5,12 @@ named ``"x"`` (and usually ``"c"``), so one graph serves both the embedding
 gradient (reverse sweep to ``c``) and the data-space gradient (reverse sweep
 to ``x``).  Mixture components and prompts are stacked axes of the nodes,
 so a graph has one node per operation however many of either there are.
+The h_t graph holds the mixture score as one ``fused`` node with the bits
+of the primitive chain it stands for (see ``MixtureModel.emit_score``), 9
+nodes with the cosine alignment.  The classifier graph and the
+directional graph spell the mixture out in primitive nodes: the classifier
+gradient stays independent of the score's code, and the directional graph
+takes a derivative of the embedding gradient.
 A build appends nodes and also evaluates, once, every node whose arguments
 are all constants (see :mod:`embedlab.autodiff`): the classifier graph,
 rebuilt at every guided step, holds the prompt embeddings as one constant,

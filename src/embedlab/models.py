@@ -266,29 +266,75 @@ class MixtureModel:
 
     # -- tape emission -------------------------------------------------------
 
-    def _emit_log_joint(self, g, x_ref, c_ref, t, sched):
-        """Nodes for the logits, the unnormalized log w_k + log N_t(x; mu_k,
-        var_k) and the means mu_k, each stacked over k, and the variances.
-        Embeddings stacked as (P, e) stack every node over P in front of k."""
+    def emit_log_likelihood(self, g, x_ref, c_ref, t, sched):
+        """Append nodes computing log p_t(x | c) to graph g.  Embeddings
+        stacked as (P, e) stack every node over P in front of the
+        components."""
         ab = sched.alpha_bar(t)
         variances = ab * self.covs + (1.0 - ab)
         logits = g.affine(c_ref, self.weight_logits)
         mus = g.affine(c_ref, np.sqrt(ab) * self.mean_maps, np.sqrt(ab) * self.mean_offsets)
-        return logits, g.add(logits, g.gauss_logpdf(x_ref, mus, variances)), mus, variances
-
-    def emit_log_likelihood(self, g, x_ref, c_ref, t, sched):
-        """Append nodes computing log p_t(x | c) to graph g."""
-        logits, comps, _, _ = self._emit_log_joint(g, x_ref, c_ref, t, sched)
+        comps = g.add(logits, g.gauss_logpdf(x_ref, mus, variances))
         return g.sub(g.logsumexp(comps), g.logsumexp(logits))
 
     def emit_score(self, g, x_ref, c_ref, t, sched):
-        """Append nodes computing the conditional score vector to graph g."""
-        _, comps, mus, variances = self._emit_log_joint(g, x_ref, c_ref, t, sched)
-        resp = g.softmax(comps)
-        # (x - mu_k) * -1/var_k: a product by diag(-1/var_k) adds only
-        # exact zeros to each entry
-        pulls = g.scale(g.sub(x_ref, mus), -1.0 / variances)
-        return g.wsum(resp, pulls)
+        """Append the conditional score to graph g as one fused node over
+        the vectors x and c, with the bits of the primitive chain it stands
+        for: the logits a_k . c and the means mu_k as affine maps of c, the
+        log-densities plus the logits, their softmax r, and
+        sum_k r_k (x - mu_k) * -1/var_k.
+
+        The forward makes the chain's numpy calls on its shapes, forming
+        x - mu_k once.  The vjp is the chain's reverse sweep, and hands each
+        argument the terms that sweep added onto its adjoint, in its order:
+        for x the pulls' slices, then the log-densities', for c the means'
+        slices, then the logits', the components K-1 first.
+
+        The tape checks only the score for finiteness.  Where one
+        component's log-density overflows to -inf and another's does not,
+        that component's weight is 0 and the score is finite; the chain
+        rejected such a state at its gauss_logpdf node."""
+        ab = sched.alpha_bar(t)
+        var = ab * self.covs + (1.0 - ab)
+        log_norm = np.log(2.0 * np.pi * var)
+        pull = -1.0 / var
+        w_logits = self.weight_logits
+        w_means, b_means = np.sqrt(ab) * self.mean_maps, np.sqrt(ab) * self.mean_offsets
+        K = self.n_components
+        last_first = range(K - 1, -1, -1)
+
+        def forward(x, c):
+            # a batch row gains the component axis in front of its entries
+            # by the reshape the tape's broadcast makes, so each matmul (one
+            # matrix-vector product per row and component) sees its strides
+            xk = x if x.ndim == 1 else x.reshape(x.shape[:-1] + (1,) + x.shape[-1:])
+            ck = c if c.ndim == 1 else c.reshape(c.shape[:-1] + (1,) + c.shape[-1:])
+            logits = np.matmul(w_logits, c[..., None])[..., 0]
+            diff = xk - (np.matmul(w_means, ck[..., None])[..., 0] + b_means)
+            comps = logits + -0.5 * np.add.reduce(diff * diff / var + log_norm, axis=-1)
+            e = np.exp(comps - np.maximum.reduce(comps, axis=-1, keepdims=True))
+            resp = e / np.add.reduce(e, axis=-1, keepdims=True)
+            pulls = pull * diff
+            score = resp[..., 0, None] * pulls[..., 0, :]
+            for k in range(1, K):
+                score = score + resp[..., k, None] * pulls[..., k, :]
+
+            def vjp(adj):
+                g_resp = np.add.reduce(adj[..., None, :] * pulls, axis=-1)
+                if K > 1:
+                    g_resp += 0.0       # as wsum sends its weights
+                g_diff = pull * (resp[..., None] * adj[..., None, :])
+                g_comps = resp * (g_resp - np.vecdot(g_resp, resp)[..., None])
+                dens = diff / var
+                g_dens = -g_comps[..., None] * dens
+                g_means = -g_diff + g_comps[..., None] * dens
+                g_c = np.matmul(w_means.mT, g_means[..., None])[..., 0]
+                g_logits = np.matmul(w_logits.mT, g_comps[..., None])[..., 0]
+                return ((*(g_diff[..., k, :] for k in last_first),
+                         *(g_dens[..., k, :] for k in last_first)),
+                        (*(g_c[..., k, :] for k in last_first), g_logits))
+            return score, vjp
+        return g.fused(forward, (x_ref, c_ref))
 
 
 def _mlp_layer_shapes(data_dim, embed_dim, hidden, depth, time_feats):

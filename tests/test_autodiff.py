@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from embedlab.alignment import CosineAlignment
 from embedlab.autodiff import Graph, GraphError, evaluate, finite_diff_grad, gradient
 from embedlab.autodiff import _BACKWARD, _FORWARD, _RANKS
-from embedlab.graphs import classifier_graph
+from embedlab.graphs import GraphCache, classifier_graph
+from embedlab.guidance import ug_score
 from embedlab.models import ScoreNet, default_task
 from embedlab.schedules import default_schedule
+from embedlab.update import grad_h_t_wrt_c
 
 
 def half_sq_norm_graph():
@@ -90,7 +93,7 @@ class TestGradient:
     def test_gradient_before_evaluate_rejected(self):
         g = half_sq_norm_graph()
         with pytest.raises(GraphError, match="evaluate"):
-            gradient(Graph(), "x") if False else gradient(g, "x")
+            gradient(g, "x")
 
     def test_sum_of_graphs_linearity_exact(self):
         """Building f1 + f2 in one graph gives gradient g1 + g2 bitwise."""
@@ -183,7 +186,7 @@ def _primitive_cases(rng):
 
     def out_mix(g, x):
         s = g.wsum(g.softmax(x), g.sub(x, g.constant(mu)))
-        return g.add(s, g.logsumexp(g.scale(g.softmax(x), var)))
+        return g.add(s, g.logsumexp(g.affine(g.softmax(x), np.diag(var))))
 
     # stacked rows: x broadcast over 3 stacked (3, d) maps and means
     W3 = rng.standard_normal((3, d, d)) * 0.5
@@ -196,8 +199,9 @@ def _primitive_cases(rng):
         return g.logsumexp(g.add(g.gauss_logpdf(x, mus, var3), g.dot(x, g.sub(mus, x))))
 
     def out_wsum(g, x):
-        pulls = g.sub(g.softmax(g.affine(x, W3, b3)), g.scale(x, M3[0]))
-        return g.dot(g.wsum(g.softmax(g.affine(x, W3[0, :3])), pulls), g.constant(yvec))
+        # weights and values both stacked (3, d): one weighted sum per slice
+        pulls = g.sub(g.softmax(g.affine(x, W3, b3)), g.affine(x, np.diag(M3[0])))
+        return g.dot(g.wsum(g.softmax(g.affine(x, W3)), pulls), g.constant(yvec[:3]))
 
     def out_wsum_scalars(g, x):
         return g.wsum(g.softmax(x), g.dot(g.sub(x, g.constant(W3[0])), g.constant(W3[1])))
@@ -347,6 +351,25 @@ def test_nonfinite_fused_value_rejected_with_node_index():
     g.mark_output(g.dot(n, g.constant(np.ones(2))))
     with np.errstate(divide="ignore"), pytest.raises(GraphError, match=f"node {n} \\(fused\\)"):
         evaluate(g, {"x": np.array([1.0, 0.0])})
+
+
+@pytest.mark.parametrize("call", ["grad_h_t_wrt_c", "ug_score"])
+def test_overflowing_state_rejected_at_the_mixture_score_node(call):
+    """A state so far out that (x - mu_k)^2 overflows is rejected by the
+    index of the node holding the mixture score."""
+    task, sched = default_task(), default_schedule()
+    h, y, t = CosineAlignment.for_task(task), 1, 50
+    cache = GraphCache()
+    nodes = cache.h_t(task.model, h, y, t, sched).nodes
+    score = next(i for i, n in enumerate(nodes) if n.op == "fused")
+    x = np.full(task.model.data_dim, 1e200)
+    c = task.embedding(y)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(GraphError, match=f"node {score} \\(fused\\)"):
+        if call == "grad_h_t_wrt_c":
+            grad_h_t_wrt_c(x, c, t, task.model, sched, h, y, cache)
+        else:
+            ug_score(np.zeros_like(x), x, c, t, task.model, sched, h, y, 1.0, cache)
 
 
 # -- tape internals -----------------------------------------------------------
