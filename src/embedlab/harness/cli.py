@@ -17,7 +17,8 @@ with run_variants: every variant at the same noise, each bit for bit its
 solo run.  sweep checks every value's config before it samples any, and
 a bad value names --param and the value.  Every report is written under a
 temporary name and renamed over its target, so a failed command leaves no
-half-written file.
+half-written file; the output directory is made only once the results are
+in hand, so a command that fails before writing leaves none behind.
 """
 
 from __future__ import annotations
@@ -79,14 +80,13 @@ def write_csv(path, header, rows):
 
 
 def _load_cfg(args):
+    """The config file's settings (or the defaults) with --seed, --samples
+    and --out applied; an override goes through config_from_dict's checks,
+    so a bad value is refused by its key before any output directory is made."""
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=int(args.seed))
-    if args.samples is not None:
-        cfg = dataclasses.replace(cfg, n_samples=int(args.samples))
-    if args.out is not None:
-        cfg = dataclasses.replace(cfg, out_dir=args.out)
-    return cfg
+    overrides = {"seed": args.seed, "n_samples": args.samples, "out_dir": args.out}
+    overrides = {k: v for k, v in overrides.items() if v is not None}
+    return config_from_dict(dict(config_to_dict(cfg), **overrides))
 
 
 def _outdir(cfg):
@@ -107,11 +107,11 @@ def _record_to_dict(rec):
 
 def cmd_train(args):
     cfg = _load_cfg(args)
-    out = _outdir(cfg)
     task, sched, _, _, _ = build_objects(cfg)
     net = ScoreNet(task.model.data_dim, task.model.embed_dim, seed=cfg.seed)
     losses = train_dsm(net, task.model, sched, steps=args.steps, batch=args.batch,
                        lr=args.lr, seed=cfg.seed, embeddings=task.embed_table)
+    out = _outdir(cfg)
     path = os.path.join(out, "checkpoint.json")
     save_checkpoint(net, path)
     write_csv(os.path.join(out, "train_losses.csv"), ["step", "loss"],
@@ -128,8 +128,8 @@ def cmd_train(args):
 
 def cmd_sample(args):
     cfg = _load_cfg(args)
-    out = _outdir(cfg)
     run, report = run_experiment(cfg)
+    out = _outdir(cfg)
     with open_atomic(os.path.join(out, "records.jsonl")) as fh:
         for rec in run:
             fh.write(json.dumps(round9(_record_to_dict(rec))) + "\n")
@@ -166,12 +166,12 @@ def cmd_compare(args):
     cfg = _load_cfg(args)
     if cfg.date is None:
         raise ConfigError("compare needs a date section in the config")
-    out = _outdir(cfg)
     _, sched, _, h, update_steps = build_objects(cfg)
     n_updates = len(update_steps)
     rows = []
     finals = {}
     results = run_variants([_variant(cfg, method) for method in _COMPARE_METHODS])
+    out = _outdir(cfg)
     for method, (run, report) in zip(_COMPARE_METHODS, results):
         finals[method] = h.value(run.final_x0, cfg.prompt)
         upd = n_updates if (method == "date" or method.startswith("ablation")) else 0
@@ -228,9 +228,9 @@ def cmd_sweep(args):
     if not values:
         raise ConfigError("--values is empty")
     variants = [_sweep_variant(cfg, args.param, raw) for raw in values]
-    out = _outdir(cfg)
     rows = [(raw, report.mean_h, report.se_h if report.se_h is not None else "", report.frechet)
             for raw, (_, report) in zip(values, run_variants(variants))]
+    out = _outdir(cfg)
     path = os.path.join(out, "sweep.csv")
     write_csv(path, [args.param, "mean_h", "se_h", "frechet"], rows)
     for row in rows:
@@ -240,14 +240,15 @@ def cmd_sweep(args):
 
 
 def cmd_verify(args):
+    if args.seed < 0:
+        raise ConfigError("seed: must be >= 0")
     names = None
     if args.check:
         names = [args.check]
-    results = run_checks(seed=args.seed if args.seed is not None else 0, names=names)
+    results = run_checks(seed=args.seed, names=names)
     outdir = args.out or "out"
     os.makedirs(outdir, exist_ok=True)
-    write_json(os.path.join(outdir, "verify.json"),
-               {"seed": args.seed if args.seed is not None else 0, "checks": results})
+    write_json(os.path.join(outdir, "verify.json"), {"seed": args.seed, "checks": results})
     all_ok = True
     for name, res in results.items():
         ok = bool(res.get("passed"))

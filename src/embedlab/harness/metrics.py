@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtr
 
 
 class MetricsError(ValueError):
@@ -63,7 +62,10 @@ def paired_ttest(a, b):
     else:
         t_stat = float(np.inf * np.sign(np.mean(d)))
     # stdtr(df, -t) is the upper tail of Student's t, as scipy.stats.t.sf
-    # computes it, without importing scipy.stats
+    # computes it.  Imported here, not at the top: importing scipy.special
+    # more than doubles every command's start-up, and only compare runs a
+    # t-test.
+    from scipy.special import stdtr
     p_greater = float(stdtr(n - 1, -t_stat))
     p_two = float(2.0 * stdtr(n - 1, -abs(t_stat)))
     return {"mean_diff": float(np.mean(d)), "t_stat": t_stat,

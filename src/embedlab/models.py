@@ -595,7 +595,8 @@ def _checkpoint_size(doc, key, least):
 
 
 def _checkpoint_array(flat, key, shape):
-    """A flat JSON list as a float64 array of `shape`."""
+    """A flat JSON list as a float64 array of `shape`, every value finite
+    (json.load reads the NaN and Infinity literals)."""
     try:
         a = np.asarray(flat, dtype=np.float64)
     except (TypeError, ValueError) as exc:
@@ -603,6 +604,9 @@ def _checkpoint_array(flat, key, shape):
     n = math.prod(shape)
     if a.shape != (n,):
         raise ModelError(f"{key} has shape {a.shape}, expected {n} values for shape {shape}")
+    bad = np.flatnonzero(~np.isfinite(a))
+    if bad.size:
+        raise ModelError(f"{key} holds a non-finite value ({a[bad[0]]} at index {bad[0]})")
     return a.reshape(shape)
 
 

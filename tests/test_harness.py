@@ -247,14 +247,36 @@ class TestPairedTtest:
         out = paired_ttest(a, b)
         assert out["p_two_sided"] > 0.01
 
-    def test_cli_import_leaves_out_scipy_stats(self):
-        """Importing scipy.stats would dominate every command's start-up
-        time and memory; paired_ttest takes its t tail from scipy.special."""
+    def test_only_compare_loads_scipy(self, tmp_path):
+        """Importing scipy.special would more than double every command's
+        start-up; paired_ttest imports it on its first call, and only compare
+        runs a t-test.  The commands run one after another in one fresh
+        interpreter."""
+        (tmp_path / "c.json").write_text(json.dumps({"n_samples": 2, "schedule": {"T": 5}}))
+        code = """if True:
+            import json, sys
+            from embedlab.harness.cli import cli_dispatch
+
+            def scipy_modules():
+                return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+            loaded = {"import": scipy_modules()}
+            for argv in (["sample", "--config", "c.json"],
+                         ["sweep", "--config", "c.json", "--param", "rho", "--values", "0.1,2"],
+                         ["verify", "--check", "tweedie_exact_k1"],
+                         ["train", "--config", "c.json", "--steps", "1", "--batch", "4"],
+                         ["compare", "--config", "c.json"]):
+                assert cli_dispatch(argv + ["--out", argv[0]]) == 0, argv
+                loaded[argv[0]] = scipy_modules()
+            print(json.dumps(loaded))
+        """
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(embedlab.__file__)))
-        code = "import sys, embedlab.harness.cli; print('scipy.stats' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+        out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path, check=True,
                              capture_output=True, text=True)
-        assert out.stdout.strip() == "False"
+        loaded = json.loads(out.stdout.splitlines()[-1])
+        compare = loaded.pop("compare")
+        assert loaded == {name: [] for name in ("import", "sample", "sweep", "verify", "train")}
+        assert "scipy.special" in compare
 
 
 _T = 30   # small_cfg's steps; step t of a run sits at index _T - t
@@ -664,3 +686,62 @@ class TestCli:
         assert cli_dispatch(["verify", "--check", "tweedie_exact_k1"]) == 5
         assert [(a.seed, a.check, a.out) for a in seen] == [
             (3, None, str(tmp_path)), (0, "tweedie_exact_k1", None)]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sample", "--samples", "0"], "n_samples: must be >= 1"),
+        (["sample", "--seed", "-5"], "seed: must be >= 0"),
+        (["sweep", "--seed", "-5", "--param", "rho", "--values", "0.5"], "seed: must be >= 0"),
+        (["train", "--seed", "-5", "--steps", "1"], "seed: must be >= 0"),
+        (["compare", "--seed", "-5"], "seed: must be >= 0"),
+        (["verify", "--seed", "-5", "--check", "tweedie_exact_k1"], "seed: must be >= 0"),
+    ], ids=["sample_samples", "sample_seed", "sweep_seed", "train_seed", "compare_seed",
+            "verify_seed"])
+    def test_bad_override_named_and_no_output_left(self, tmp_path, capsys, monkeypatch,
+                                                   argv, message):
+        """--seed and --samples pass the config file's checks: a bad value is
+        refused by its key before anything runs, and no --out directory is made."""
+        import embedlab.harness.cli as cli_mod
+        for name in ("run_experiment", "run_variants", "train_dsm", "run_checks"):
+            monkeypatch.setattr(cli_mod, name, None)   # never reached
+        out = tmp_path / "o"
+        assert cli_dispatch(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_overrides_equal_the_config_file(self, tmp_path, monkeypatch):
+        """--seed, --samples and --out give the reports, config_hash
+        included, that the same values in the config file give."""
+        monkeypatch.chdir(tmp_path)
+        base = {"schedule": {"T": 10}, "date": None}
+        (tmp_path / "base.json").write_text(json.dumps(base))
+        (tmp_path / "full.json").write_text(json.dumps(
+            dict(base, seed=3, n_samples=2, out_dir="a")))
+        assert cli_dispatch(["sample", "--config", "full.json"]) == 0
+        os.rename("a", "from_file")
+        assert cli_dispatch(["sample", "--config", "base.json", "--seed", "3",
+                             "--samples", "2", "--out", "a"]) == 0
+        assert (tmp_path / "a" / "metrics.json").read_bytes() == \
+            (tmp_path / "from_file" / "metrics.json").read_bytes()
+
+    @pytest.mark.parametrize("kind", ["mixture", "scorenet"])
+    def test_non_finite_checkpoint_exit_1_without_report(self, tmp_path, capsys, kind):
+        """A checkpoint holding NaN is refused at load, naming the file and
+        the key, whether or not the run would update embeddings."""
+        from embedlab.models import ScoreNet, save_checkpoint
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(default_task().model if kind == "mixture" else ScoreNet(2, 4, seed=0),
+                        path)
+        doc = json.loads(path.read_text())
+        flat, name = (doc["covs"], "covs") if kind == "mixture" else (doc["weights"][0],
+                                                                       "weights[0]")
+        flat[0] = float("nan")
+        path.write_text(json.dumps(doc))
+        for date in ({"rho": 0.5, "fraction": 1.0}, None):
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps({"n_samples": 2, "schedule": {"T": 10}, "date": date,
+                                       "model": {"kind": "learned", "checkpoint": str(path)}}))
+            out = tmp_path / "o"
+            assert cli_dispatch(["sample", "--config", str(cfg), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: {path}: {name} holds a non-finite value (nan at index 0)\n")
+            assert not out.exists()

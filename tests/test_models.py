@@ -831,3 +831,17 @@ class TestCheckpointValidation:
         path, doc = self._doc(task.model, tmp_path)
         doc["weight_logits"] = doc["weight_logits"] + [0.5]
         self._rejects(path, doc, r"weight_logits has shape \(9,\), expected 8")
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_mixture_value(self, task, tmp_path, value):
+        path, doc = self._doc(task.model, tmp_path)
+        doc["mean_offsets"][3] = float(value)
+        self._rejects(path, doc, rf"mean_offsets holds a non-finite value \({float(value)} "
+                                 r"at index 3\)")
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_scorenet_weight(self, tmp_path, value):
+        path, doc = self._doc(ScoreNet(2, 4, seed=9), tmp_path)
+        doc["weights"][5][7] = float(value)
+        self._rejects(path, doc, rf"weights\[5\] holds a non-finite value \({float(value)} "
+                                 r"at index 7\)")
